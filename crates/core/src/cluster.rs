@@ -19,7 +19,9 @@
 
 use std::collections::HashMap;
 
-use pipefill_executor::{plan_best, ExecutionPlan, ExecutorConfig, FillJobSpec, JobId};
+use pipefill_executor::{
+    ExecutionPlan, ExecutorConfig, FillJobSpec, FillProfiles, GeometryId, JobId,
+};
 use pipefill_model_zoo::{JobKind, ModelId};
 use pipefill_pipeline::MainJobSpec;
 use pipefill_scheduler::{
@@ -31,8 +33,9 @@ use pipefill_trace::{TraceConfig, TraceGenerator};
 use serde::{Deserialize, Serialize};
 
 use crate::backend::{BackendDriver, BackendKind, BackendMetrics, ClusterEvent, SimBackend};
-use crate::convert::trace_job_to_spec;
+use crate::convert::trace_job_to_spec_with;
 use crate::metrics::JctStats;
+use crate::physical::window_slots;
 
 /// Which built-in policy the simulation uses (a serializable stand-in for
 /// the boxed policy trait).
@@ -207,13 +210,15 @@ pub struct CoarseBackend {
     period: SimDuration,
     bubble_ratio: f64,
     main_tflops: f64,
-    /// Fillable bubble slots per stage.
-    stage_slots: Vec<Vec<(SimDuration, pipefill_device::Bytes)>>,
-    plan_cache: HashMap<(ModelId, JobKind, usize), Option<ExecutionPlan>>,
+    /// Throughputs and plans on the main job's device.
+    profiles: FillProfiles,
+    /// Each stage's fillable bubble geometry, interned in `profiles`.
+    stage_geometry: Vec<GeometryId>,
     scheduler: FillJobScheduler,
     devices: Vec<Device>,
     specs: HashMap<JobId, FillJobSpec>,
-    arrivals: Vec<FillJobSpec>,
+    /// Trace jobs in arrival order; each is taken when its arrival fires.
+    arrivals: Vec<Option<FillJobSpec>>,
     completed: Vec<CompletedJob>,
     rejected: usize,
     result: Option<ClusterSimResult>,
@@ -224,24 +229,21 @@ impl CoarseBackend {
     /// generates and converts the fill-job trace.
     pub fn new(config: ClusterSimConfig) -> Self {
         let timeline = config.main_job.engine_timeline();
-        let stage_slots: Vec<Vec<(SimDuration, pipefill_device::Bytes)>> = timeline
+        let mut profiles = FillProfiles::new(config.main_job.device.clone());
+        let stage_geometry: Vec<GeometryId> = timeline
             .stages
             .iter()
-            .map(|s| {
-                s.fillable_windows()
-                    .iter()
-                    .map(|w| (w.duration, w.free_memory))
-                    .collect()
-            })
+            .map(|s| profiles.geometry(window_slots(&s.fillable_windows()), &config.executor))
             .collect();
         let main_tflops = config.main_job.main_job_tflops_per_gpu(&timeline);
-        let p = stage_slots.len();
+        let p = stage_geometry.len();
         let num_devices = p * config.devices_per_stage;
 
         let (trace_jobs, _) = TraceGenerator::new(config.trace.clone()).generate();
-        let arrivals: Vec<FillJobSpec> = trace_jobs
+        let arrivals: Vec<Option<FillJobSpec>> = trace_jobs
             .iter()
-            .filter_map(|t| trace_job_to_spec(t, &config.main_job.device))
+            .filter_map(|t| trace_job_to_spec_with(t, &mut profiles))
+            .map(Some)
             .collect();
 
         let devices: Vec<Device> = (0..num_devices)
@@ -257,8 +259,8 @@ impl CoarseBackend {
             period: timeline.period,
             bubble_ratio: timeline.bubble_ratio(),
             main_tflops,
-            stage_slots,
-            plan_cache: HashMap::new(),
+            profiles,
+            stage_geometry,
             scheduler,
             devices,
             specs: HashMap::new(),
@@ -270,38 +272,21 @@ impl CoarseBackend {
         }
     }
 
-    fn plan(&mut self, model: ModelId, kind: JobKind, stage: usize) -> Option<&ExecutionPlan> {
-        let key = (model, kind, stage);
-        if !self.plan_cache.contains_key(&key) {
-            let slots = &self.stage_slots[stage];
-            let plan = if slots.is_empty() {
-                None
-            } else {
-                // Plans depend only on (model, kind, bubbles), not on the
-                // job's sample count.
-                let probe = FillJobSpec::new(u64::MAX, model, kind, u64::MAX / 2);
-                plan_best(
-                    &probe,
-                    slots,
-                    &self.config.main_job.device,
-                    &self.config.executor,
-                )
-                .ok()
-            };
-            self.plan_cache.insert(key, plan);
-        }
-        self.plan_cache.get(&key).expect("inserted above").as_ref()
+    fn plan(&mut self, job: &FillJobSpec, stage: usize) -> Option<&ExecutionPlan> {
+        self.profiles
+            .plan(job.model, job.kind, self.stage_geometry[stage])
+            .map(|p| &**p)
     }
 
     fn proc_time(&mut self, job: &FillJobSpec, stage: usize) -> Option<SimDuration> {
         let period = self.period;
-        let plan = self.plan(job.model, job.kind, stage)?;
+        let plan = self.plan(job, stage)?;
         let iters = plan.main_iterations_for(job.samples);
         Some(period * iters)
     }
 
     fn job_flops(&mut self, job: &FillJobSpec, stage: usize) -> f64 {
-        match self.plan(job.model, job.kind, stage) {
+        match self.plan(job, stage) {
             None => 0.0,
             Some(p) => p.flops_per_pass * (job.samples as f64 / p.samples_per_pass.max(1) as f64),
         }
@@ -369,7 +354,7 @@ impl EventHandler for CoarseBackend {
     fn handle(&mut self, now: SimTime, event: ClusterEvent, queue: &mut EventQueue<ClusterEvent>) {
         match event {
             ClusterEvent::JobArrival(i) => {
-                let spec = self.arrivals[i].clone();
+                let spec = self.arrivals[i].take().expect("each arrival fires once");
                 let proc_times: Vec<Option<SimDuration>> = (0..self.devices.len())
                     .map(|d| {
                         let stage = self.devices[d].stage;
@@ -426,6 +411,7 @@ impl SimBackend for CoarseBackend {
 
     fn prime(&mut self, sim: &mut Simulation<ClusterEvent>) {
         for (i, job) in self.arrivals.iter().enumerate() {
+            let job = job.as_ref().expect("primed before any arrival");
             sim.schedule(job.arrival, ClusterEvent::JobArrival(i));
         }
     }

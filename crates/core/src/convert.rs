@@ -5,7 +5,7 @@
 //! can achieve when executed in isolation on one GPU."
 
 use pipefill_device::DeviceSpec;
-use pipefill_executor::FillJobSpec;
+use pipefill_executor::{FillJobSpec, FillProfiles};
 use pipefill_model_zoo::JobKind;
 use pipefill_trace::TraceJob;
 
@@ -13,19 +13,21 @@ use pipefill_trace::TraceJob;
 ///
 /// Returns at least 1 sample. `None` if the model has no feasible
 /// exclusive configuration on this device (does not happen for the
-/// Table-1 zoo on a V100).
+/// Table-1 zoo on a V100). Profiles the job type from scratch; convert a
+/// whole trace with [`trace_job_to_spec_with`] to profile each type once.
 pub fn samples_for_trace_job(job: &TraceJob, device: &DeviceSpec) -> Option<u64> {
-    let model = job.model.build();
-    let batches = FillJobSpec::default_batch_sizes();
-    let (throughput, _) =
-        pipefill_executor::exclusive_throughput(&model, job.kind, device, &batches)?;
-    let samples = (job.gpu_hours * 3600.0 * throughput).round() as u64;
-    Some(samples.max(1))
+    FillProfiles::new(device.clone()).samples_for(job.model, job.kind, job.gpu_hours)
 }
 
 /// Full conversion into the Executor's job description.
 pub fn trace_job_to_spec(job: &TraceJob, device: &DeviceSpec) -> Option<FillJobSpec> {
-    let samples = samples_for_trace_job(job, device)?;
+    trace_job_to_spec_with(job, &mut FillProfiles::new(device.clone()))
+}
+
+/// [`trace_job_to_spec`] against a shared memo: a trace of thousands of
+/// jobs draws only a handful of job types, and each is profiled once.
+pub fn trace_job_to_spec_with(job: &TraceJob, profiles: &mut FillProfiles) -> Option<FillJobSpec> {
+    let samples = profiles.samples_for(job.model, job.kind, job.gpu_hours)?;
     let mut spec = FillJobSpec::new(job.id, job.model, job.kind, samples).with_arrival(job.arrival);
     if let Some(d) = job.deadline {
         spec = spec.with_deadline(d);
@@ -84,6 +86,33 @@ mod tests {
         let t = trace_job(ModelId::BertBase, JobKind::Training, 0.5);
         let i = trace_job(ModelId::BertBase, JobKind::BatchInference, 0.5);
         assert!(samples_for_trace_job(&t, &d).unwrap() < samples_for_trace_job(&i, &d).unwrap());
+    }
+
+    #[test]
+    fn memoized_conversion_equals_per_job_conversion() {
+        for device in [
+            DeviceSpec::v100(),
+            DeviceSpec::a100_40g(),
+            DeviceSpec::h100(),
+        ] {
+            for seed in [1, 7] {
+                let mut cfg = TraceConfig::physical(seed);
+                cfg.horizon = pipefill_sim_core::SimDuration::from_secs(6 * 3600);
+                let (jobs, _) = TraceGenerator::new(cfg).generate();
+                assert!(jobs.len() > 10, "{} jobs", jobs.len());
+                let mut memo = FillProfiles::new(device.clone());
+                for j in &jobs {
+                    let direct = trace_job_to_spec(j, &device);
+                    let memoized = trace_job_to_spec_with(j, &mut memo);
+                    assert_eq!(memoized, direct, "{j:?} on {}", device.name);
+                    let spec = memoized.expect("every Table-1 job converts");
+                    assert_eq!(
+                        (spec.id.0, spec.arrival, spec.deadline),
+                        (j.id, j.arrival, j.deadline)
+                    );
+                }
+            }
+        }
     }
 
     #[test]

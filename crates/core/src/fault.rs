@@ -43,14 +43,11 @@
 //! event ordering goes through the kernel queue.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use pipefill_device::DeviceSpec;
 use pipefill_executor::{
-    exclusive_throughput, plan_best, ExecutionPlan, ExecutorConfig, FillJobExecutor, FillJobSpec,
-    JobId,
+    ExecutorConfig, FillJobExecutor, FillJobSpec, FillProfiles, GeometryId, JobId,
 };
-use pipefill_model_zoo::{JobKind, ModelId};
 use pipefill_pipeline::{BubbleWindow, MainJobSpec};
 use pipefill_scheduler::{Fifo, FillJobScheduler, JobInfo, SystemState};
 use pipefill_sim_core::rng::DeterministicRng;
@@ -61,7 +58,7 @@ use serde::{Deserialize, Serialize};
 use crate::backend::{BackendDriver, BackendKind, BackendMetrics, ClusterEvent, SimBackend};
 use crate::ff::{SteadyCounters, SteadyDetector};
 use crate::physical::{
-    critical_path_delay, sig_executor, sig_rotation, MixRotation, STEADY_HISTORY,
+    critical_path_delay, sig_executor, sig_rotation, window_slots, MixRotation, STEADY_HISTORY,
 };
 
 /// Heterogeneous + fault-injecting simulation parameters.
@@ -262,19 +259,18 @@ pub struct FaultBackend {
     /// Estimated bubble ratio of the heterogeneous pipeline.
     bubble_ratio: f64,
     stage_windows: Vec<Vec<BubbleWindow>>,
-    stage_slots: Vec<Vec<(SimDuration, pipefill_device::Bytes)>>,
-    stage_devices: Vec<DeviceSpec>,
-    /// For each stage, the index of the first stage with an identical
-    /// device spec — the throughput-cache key, so homogeneous clusters
-    /// profile each (model, kind) once, not once per stage.
-    stage_class: Vec<usize>,
+    /// One throughput/plan memo per distinct stage device, so a
+    /// homogeneous cluster profiles each (model, kind) once, not once
+    /// per stage.
+    profiles: Vec<FillProfiles>,
+    /// Index into `profiles` of each stage's device.
+    stage_memo: Vec<usize>,
+    /// Each stage's windows as a planner geometry in its device's memo.
+    stage_geometry: Vec<GeometryId>,
     /// Workload stream — draw order mirrors the physical backend.
     rng: DeterministicRng,
     /// Per-stage failure processes, independent of the workload stream.
     fail_rngs: Vec<DeterministicRng>,
-    plan_cache: HashMap<(ModelId, JobKind, usize), Option<Arc<ExecutionPlan>>>,
-    /// Exclusive throughput per (model, kind, device class).
-    tput_cache: HashMap<(ModelId, JobKind, usize), Option<f64>>,
     rotation: Option<MixRotation>,
     /// Evicted jobs wait here; `evicted` parks their executor state.
     scheduler: FillJobScheduler,
@@ -366,9 +362,15 @@ impl FaultBackend {
                     .collect()
             })
             .collect();
-        let stage_slots: Vec<Vec<(SimDuration, pipefill_device::Bytes)>> = stage_windows
+        let mut profiles = Vec::new();
+        let stage_memo: Vec<usize> = stage_devices
             .iter()
-            .map(|ws| ws.iter().map(|w| (w.duration, w.free_memory)).collect())
+            .map(|d| FillProfiles::index_for(&mut profiles, d))
+            .collect();
+        let stage_geometry: Vec<GeometryId> = stage_windows
+            .iter()
+            .zip(&stage_memo)
+            .map(|(ws, &m)| profiles[m].geometry(window_slots(ws), &cfg.executor))
             .collect();
 
         // The main job's FLOPs per iteration are unchanged; only the
@@ -378,14 +380,6 @@ impl FaultBackend {
         let avg_slow = slow.iter().sum::<f64>() / p as f64;
         let main_nominal = base_nominal * period_ratio;
         let bubble_ratio = (1.0 - (1.0 - base_ratio) * avg_slow * period_ratio).clamp(0.0, 1.0);
-
-        let stage_class: Vec<usize> = (0..p)
-            .map(|s| {
-                (0..s)
-                    .find(|&t| stage_devices[t] == stage_devices[s])
-                    .unwrap_or(s)
-            })
-            .collect();
 
         let rng = DeterministicRng::seed_from(cfg.seed);
         // Failure streams are forked from a *separate* root so MTBF
@@ -408,13 +402,11 @@ impl FaultBackend {
             main_nominal,
             bubble_ratio,
             stage_windows,
-            stage_slots,
-            stage_devices,
-            stage_class,
+            profiles,
+            stage_memo,
+            stage_geometry,
             rng,
             fail_rngs,
-            plan_cache: HashMap::new(),
-            tput_cache: HashMap::new(),
             rotation,
             scheduler: FillJobScheduler::new(Box::new(Fifo)),
             evicted: HashMap::new(),
@@ -461,7 +453,8 @@ impl FaultBackend {
     fn draw_job(&mut self, stage: usize) -> Option<FillJobExecutor> {
         const MAX_TRIES: usize = 5;
         let cfg = &self.cfg;
-        let device = self.stage_devices[stage].clone();
+        let profiles = &mut self.profiles[self.stage_memo[stage]];
+        let geometry = self.stage_geometry[stage];
         for _ in 0..MAX_TRIES {
             let (model, kind) = match self.rotation.as_mut() {
                 Some(r) => r.next(),
@@ -470,35 +463,13 @@ impl FaultBackend {
                     (model, cfg.mix.sample_kind(model, &mut self.rng))
                 }
             };
-            let plan = self
-                .plan_cache
-                .entry((model, kind, stage))
-                .or_insert_with(|| {
-                    let slots = &self.stage_slots[stage];
-                    if slots.is_empty() {
-                        return None;
-                    }
-                    let probe = FillJobSpec::new(u64::MAX, model, kind, u64::MAX / 2);
-                    plan_best(&probe, slots, &device, &cfg.executor)
-                        .ok()
-                        .map(Arc::new)
-                })
-                // Refcount bump, not a deep plan copy (hot path).
-                .clone();
-            let Some(plan) = plan else { continue };
-            let class = self.stage_class[stage];
-            let throughput = *self
-                .tput_cache
-                .entry((model, kind, class))
-                .or_insert_with(|| {
-                    let graph = model.build();
-                    exclusive_throughput(&graph, kind, &device, &FillJobSpec::default_batch_sizes())
-                        .map(|(t, _)| t)
-                });
-            let Some(throughput) = throughput else {
+            // Refcount bump, not a deep plan copy (hot path).
+            let Some(plan) = profiles.plan(model, kind, geometry).cloned() else {
                 continue;
             };
-            let samples = ((cfg.backlog_job_gpu_hours * 3600.0 * throughput).round() as u64).max(1);
+            let Some(samples) = profiles.samples_for(model, kind, cfg.backlog_job_gpu_hours) else {
+                continue;
+            };
             let id = self.next_job_id;
             self.next_job_id += 1;
             let job = FillJobSpec::new(id, model, kind, samples);

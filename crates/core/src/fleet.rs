@@ -32,21 +32,21 @@
 //!   queues" a measurable quantity.
 //!
 //! Construction profiles each distinct job *shape* once (jobs with
-//! identical main-job spec and executor tuning share bubble geometry and
-//! plan caches) and fans the profiling across cores through the sweep
-//! driver — results are byte-stable at any thread count because geometry
-//! is a pure function of the spec and all simulation randomness flows
-//! through per-job seeded streams.
+//! identical main-job spec and executor tuning share bubble geometry)
+//! and fans the profiling across cores through the sweep driver —
+//! results are byte-stable at any thread count because geometry is a
+//! pure function of the spec and all simulation randomness flows through
+//! per-job seeded streams. Fill-job sizing and plans come from one
+//! [`FillProfiles`] memo per distinct device, so every shape on the same
+//! GPU shares throughputs, and stages with equal bubbles share plans.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use pipefill_device::DeviceSpec;
 use pipefill_executor::{
-    exclusive_throughput, plan_best, ExecutionPlan, ExecutorCheckpoint, ExecutorConfig,
-    FillJobExecutor, FillJobSpec, JobId,
+    ExecutorCheckpoint, ExecutorConfig, FillJobExecutor, FillJobSpec, FillProfiles, GeometryId,
+    JobId,
 };
-use pipefill_model_zoo::{JobKind, ModelId};
 use pipefill_pipeline::{BubbleWindow, MainJobSpec, ParallelismConfig, ScheduleKind};
 use pipefill_scheduler::{GlobalFillQueue, JobInfo, SystemState};
 use pipefill_sim_core::rng::DeterministicRng;
@@ -59,7 +59,7 @@ use crate::cluster::PolicyKind;
 use crate::experiments::sweep;
 use crate::ff::{SteadyCounters, SteadyDetector};
 use crate::physical::{
-    critical_path_delay, sig_executor, sig_rotation, MixRotation, PhysicalSimConfig,
+    critical_path_delay, sig_executor, sig_rotation, window_slots, MixRotation, PhysicalSimConfig,
 };
 
 /// Per-job signature history cap. Smaller than the single-job backends'
@@ -391,7 +391,6 @@ struct JobGeometry {
     main_nominal: f64,
     bubble_ratio: f64,
     stage_windows: Vec<Vec<BubbleWindow>>,
-    stage_slots: Vec<Vec<(SimDuration, pipefill_device::Bytes)>>,
 }
 
 impl JobGeometry {
@@ -402,16 +401,11 @@ impl JobGeometry {
             .iter()
             .map(|s| s.fillable_windows())
             .collect();
-        let stage_slots = stage_windows
-            .iter()
-            .map(|ws| ws.iter().map(|w| (w.duration, w.free_memory)).collect())
-            .collect();
         JobGeometry {
             period: timeline.period,
             main_nominal: main_job.main_job_tflops_per_gpu(&timeline),
             bubble_ratio: timeline.bubble_ratio(),
             stage_windows,
-            stage_slots,
         }
     }
 
@@ -470,10 +464,6 @@ struct JobState {
     fast_forwarded: u64,
 }
 
-/// Per-class profiled-plan cache: model × kind × stage count to the
-/// shared plan (`None` caches "does not fit").
-type PlanCache = HashMap<(ModelId, JobKind, usize), Option<Arc<ExecutionPlan>>>;
-
 /// The fleet backend: many physical-model pipelines on one kernel, one
 /// global fill queue. See the module docs for the model.
 pub struct FleetBackend {
@@ -481,8 +471,14 @@ pub struct FleetBackend {
     /// Shape class per job; geometry/caches are indexed by class.
     class_of: Vec<usize>,
     geometry: Vec<JobGeometry>,
-    plan_cache: Vec<PlanCache>,
-    tput_cache: Vec<HashMap<(ModelId, JobKind), Option<f64>>>,
+    /// One throughput/plan memo per distinct device: shape classes on
+    /// the same GPU share throughputs, and stages with equal bubble
+    /// geometry and tuning share plans.
+    profiles: Vec<FillProfiles>,
+    /// Index into `profiles` of each class's device.
+    class_memo: Vec<usize>,
+    /// Planner geometry of each class's stages, in its device's memo.
+    class_stage_geometry: Vec<Vec<GeometryId>>,
     /// First flat device of each job.
     base: Vec<usize>,
     /// Owning job per flat device.
@@ -524,9 +520,25 @@ impl FleetBackend {
                 });
             class_of.push(class);
         }
-        let geometry: Vec<JobGeometry> = sweep::par_map(class_reps, |rep| {
+        let geometry: Vec<JobGeometry> = sweep::par_map(class_reps.clone(), |rep| {
             JobGeometry::profile(&cfg.jobs[rep].main_job)
         });
+        let mut profiles = Vec::new();
+        let class_memo: Vec<usize> = class_reps
+            .iter()
+            .map(|&rep| FillProfiles::index_for(&mut profiles, &cfg.jobs[rep].main_job.device))
+            .collect();
+        let class_stage_geometry: Vec<Vec<GeometryId>> = class_reps
+            .iter()
+            .zip(&geometry)
+            .zip(&class_memo)
+            .map(|((&rep, g), &m)| {
+                g.stage_windows
+                    .iter()
+                    .map(|ws| profiles[m].geometry(window_slots(ws), &cfg.jobs[rep].executor))
+                    .collect()
+            })
+            .collect();
 
         let mut base = Vec::with_capacity(cfg.jobs.len());
         let mut flat_owner = Vec::new();
@@ -580,15 +592,14 @@ impl FleetBackend {
             })
             .collect();
 
-        let plan_cache = (0..geometry.len()).map(|_| HashMap::new()).collect();
-        let tput_cache = (0..geometry.len()).map(|_| HashMap::new()).collect();
         let down_until = vec![SimTime::ZERO; flat_owner.len()];
 
         FleetBackend {
             class_of,
             geometry,
-            plan_cache,
-            tput_cache,
+            profiles,
+            class_memo,
+            class_stage_geometry,
             base,
             idle_state: SystemState::idle(SimTime::ZERO, flat_owner.len()),
             flat_owner,
@@ -628,8 +639,8 @@ impl FleetBackend {
     fn draw_job(&mut self, j: usize, stage: usize) -> Option<FillJobExecutor> {
         const MAX_TRIES: usize = 5;
         let class = self.class_of[j];
-        let device = self.cfg.jobs[j].main_job.device.clone();
-        let exec_cfg = self.cfg.jobs[j].executor;
+        let profiles = &mut self.profiles[self.class_memo[class]];
+        let geometry = self.class_stage_geometry[class][stage];
         let backlog_gpu_hours = self.cfg.backlog_job_gpu_hours;
         for _ in 0..MAX_TRIES {
             let (model, kind) = {
@@ -643,34 +654,13 @@ impl FleetBackend {
                     }
                 }
             };
-            let plan = {
-                let slots = &self.geometry[class].stage_slots[stage];
-                self.plan_cache[class]
-                    .entry((model, kind, stage))
-                    .or_insert_with(|| {
-                        if slots.is_empty() {
-                            return None;
-                        }
-                        let probe = FillJobSpec::new(u64::MAX, model, kind, u64::MAX / 2);
-                        plan_best(&probe, slots, &device, &exec_cfg)
-                            .ok()
-                            .map(Arc::new)
-                    })
-                    // Refcount bump, not a deep plan copy (hot path).
-                    .clone()
-            };
-            let Some(plan) = plan else { continue };
-            let throughput = *self.tput_cache[class]
-                .entry((model, kind))
-                .or_insert_with(|| {
-                    let graph = model.build();
-                    exclusive_throughput(&graph, kind, &device, &FillJobSpec::default_batch_sizes())
-                        .map(|(t, _)| t)
-                });
-            let Some(throughput) = throughput else {
+            // Refcount bump, not a deep plan copy (hot path).
+            let Some(plan) = profiles.plan(model, kind, geometry).cloned() else {
                 continue;
             };
-            let samples = ((backlog_gpu_hours * 3600.0 * throughput).round() as u64).max(1);
+            let Some(samples) = profiles.samples_for(model, kind, backlog_gpu_hours) else {
+                continue;
+            };
             let js = &mut self.jobs_state[j];
             let id = ((j as u64) << 32) | js.next_fill_id;
             js.next_fill_id += 1;
@@ -1346,6 +1336,97 @@ mod tests {
         assert_eq!(r.fill_flops, 0.0);
         assert_eq!(r.failures, 0, "failure chain must not outlive filling");
         assert_eq!(r.mean_slowdown, 0.0);
+    }
+
+    fn production_fleet(seed: u64, iterations: usize) -> FleetSimConfig {
+        let mut workload = FleetWorkloadConfig::production_8k(seed);
+        workload.iterations = iterations;
+        FleetSimConfig::from_workload_scheduled(&workload, ScheduleKind::OneFOneB)
+    }
+
+    #[test]
+    fn geometry_shared_plans_equal_per_stage_plan_best() {
+        use pipefill_executor::plan_best;
+        use pipefill_model_zoo::{JobKind, ModelId};
+
+        let cfg = production_fleet(1, 1);
+        let mut fleet = FleetBackend::new(cfg.clone());
+        let class_stages: usize = fleet.geometry.iter().map(JobGeometry::stages).sum();
+        let geometries: usize = fleet.profiles.iter().map(|p| p.geometry_count()).sum();
+        assert!(
+            geometries < class_stages,
+            "{geometries} geometries for {class_stages} class-stages: nothing shared"
+        );
+        // One trainable and one inference-only type keep the direct
+        // per-(class, stage) planning affordable in debug builds.
+        let types = [
+            (ModelId::BertBase, JobKind::Training),
+            (ModelId::XlmRobertaXl, JobKind::BatchInference),
+        ];
+        let mut checked = 0;
+        for (class, g) in fleet.geometry.iter().enumerate() {
+            let rep = fleet
+                .class_of
+                .iter()
+                .position(|&c| c == class)
+                .expect("class has a job");
+            let job = &cfg.jobs[rep];
+            if job.executor.fill_fraction == 0.0 {
+                continue;
+            }
+            let memo = &mut fleet.profiles[fleet.class_memo[class]];
+            assert_eq!(memo.device(), &job.main_job.device);
+            for (stage, windows) in g.stage_windows.iter().enumerate() {
+                let slots: Vec<_> = window_slots(windows).collect();
+                let geometry = fleet.class_stage_geometry[class][stage];
+                for (model, kind) in types {
+                    let probe = FillJobSpec::new(u64::MAX, model, kind, u64::MAX / 2);
+                    let direct = if slots.is_empty() {
+                        None
+                    } else {
+                        plan_best(&probe, &slots, &job.main_job.device, &job.executor).ok()
+                    };
+                    let shared = memo.plan(model, kind, geometry).map(|p| (**p).clone());
+                    assert_eq!(
+                        shared, direct,
+                        "class {class} stage {stage} {model:?} {kind}"
+                    );
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked > 0);
+    }
+
+    #[test]
+    fn non_filling_jobs_never_reach_the_planner() {
+        // `plan_best` rejects a zero fill fraction in
+        // `ExecutorConfig::validate`, so a single planner call for an
+        // opted-out job would panic this run.
+        let cfg = production_fleet(3, 3).with_mtbf(SimDuration::from_secs(60));
+        let opted_out = cfg
+            .jobs
+            .iter()
+            .filter(|j| j.executor.fill_fraction == 0.0)
+            .count();
+        assert!(opted_out > 0, "the fleet must contain opted-out jobs");
+        assert!(opted_out < cfg.jobs.len(), "and filling ones");
+        let (_, backend) = BackendDriver::new(FleetBackend::new(cfg.clone())).run();
+        let mut planned = 0;
+        for (class, geometries) in backend.class_stage_geometry.iter().enumerate() {
+            let rep = backend
+                .class_of
+                .iter()
+                .position(|&c| c == class)
+                .expect("class has a job");
+            let memo = &backend.profiles[backend.class_memo[class]];
+            let types: usize = geometries.iter().map(|&g| memo.planned_types(g)).sum();
+            if cfg.jobs[rep].executor.fill_fraction == 0.0 {
+                assert_eq!(types, 0, "class {class} declines filling but was planned");
+            }
+            planned += types;
+        }
+        assert!(planned > 0, "filling jobs plan on first draw");
     }
 
     fn quiescent_fleet(jobs: usize, iterations: usize) -> FleetSimConfig {

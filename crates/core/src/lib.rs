@@ -63,7 +63,7 @@ pub use backend::{
 pub use cluster::{
     ClusterSim, ClusterSimConfig, ClusterSimResult, CoarseBackend, CompletedJob, PolicyKind,
 };
-pub use convert::{kind_allowed, samples_for_trace_job, trace_job_to_spec};
+pub use convert::{kind_allowed, samples_for_trace_job, trace_job_to_spec, trace_job_to_spec_with};
 pub use csv::{experiments_dir, CsvWriter};
 pub use fault::{FaultBackend, FaultSim, FaultSimConfig, FaultSimResult};
 pub use fleet::{

@@ -27,9 +27,8 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use pipefill_executor::{
-    exclusive_throughput, plan_best, ExecutionPlan, ExecutorConfig, FillJobExecutor, FillJobSpec,
-};
+use pipefill_executor::plan::BubbleSlot;
+use pipefill_executor::{ExecutorConfig, FillJobExecutor, FillJobSpec, FillProfiles, GeometryId};
 use pipefill_model_zoo::{JobKind, ModelId};
 use pipefill_pipeline::{BubbleWindow, MainJobSpec};
 use pipefill_sim_core::rng::DeterministicRng;
@@ -177,11 +176,11 @@ pub struct PhysicalBackend {
     bubble_ratio: f64,
     /// Fillable windows per stage (profiled once, like the engine does).
     stage_windows: Vec<Vec<BubbleWindow>>,
-    /// The same windows as `(duration, free_memory)` planner slots.
-    stage_slots: Vec<Vec<(SimDuration, pipefill_device::Bytes)>>,
+    /// Each stage's windows as a planner geometry, interned in `profiles`.
+    stage_geometry: Vec<GeometryId>,
     rng: DeterministicRng,
-    plan_cache: HashMap<(ModelId, JobKind, usize), Option<Arc<ExecutionPlan>>>,
-    tput_cache: HashMap<(ModelId, JobKind), Option<f64>>,
+    /// Throughputs and plans on the main job's device.
+    profiles: FillProfiles,
     executors: Vec<Option<FillJobExecutor>>,
     rotation: Option<MixRotation>,
     next_job_id: u64,
@@ -209,9 +208,10 @@ impl PhysicalBackend {
             .iter()
             .map(|s| s.fillable_windows())
             .collect();
-        let stage_slots: Vec<Vec<(SimDuration, pipefill_device::Bytes)>> = stage_windows
+        let mut profiles = FillProfiles::new(cfg.main_job.device.clone());
+        let stage_geometry: Vec<GeometryId> = stage_windows
             .iter()
-            .map(|ws| ws.iter().map(|w| (w.duration, w.free_memory)).collect())
+            .map(|ws| profiles.geometry(window_slots(ws), &cfg.executor))
             .collect();
         let rng = DeterministicRng::seed_from(cfg.seed);
         let rotation = cfg.deterministic_mix.then(|| MixRotation::new(&cfg.mix));
@@ -222,10 +222,9 @@ impl PhysicalBackend {
             main_nominal,
             bubble_ratio,
             stage_windows,
-            stage_slots,
+            stage_geometry,
             rng,
-            plan_cache: HashMap::new(),
-            tput_cache: HashMap::new(),
+            profiles,
             executors: (0..p).map(|_| None).collect(),
             rotation,
             next_job_id: 0,
@@ -253,7 +252,8 @@ impl PhysicalBackend {
     fn draw_job(&mut self, stage: usize) -> Option<FillJobExecutor> {
         const MAX_TRIES: usize = 5;
         let cfg = &self.cfg;
-        let device = &cfg.main_job.device;
+        let profiles = &mut self.profiles;
+        let geometry = self.stage_geometry[stage];
         for _ in 0..MAX_TRIES {
             let (model, kind) = match self.rotation.as_mut() {
                 Some(r) => r.next(),
@@ -262,33 +262,15 @@ impl PhysicalBackend {
                     (model, cfg.mix.sample_kind(model, &mut self.rng))
                 }
             };
-            // The cache holds `Arc`s, so handing a plan to an executor is
+            // The memo holds `Arc`s, so handing a plan to an executor is
             // a refcount bump — profiled plans are shared, never
             // deep-copied in the per-draw hot path.
-            let plan = self
-                .plan_cache
-                .entry((model, kind, stage))
-                .or_insert_with(|| {
-                    let slots = &self.stage_slots[stage];
-                    if slots.is_empty() {
-                        return None;
-                    }
-                    let probe = FillJobSpec::new(u64::MAX, model, kind, u64::MAX / 2);
-                    plan_best(&probe, slots, device, &cfg.executor)
-                        .ok()
-                        .map(Arc::new)
-                })
-                .clone();
-            let Some(plan) = plan else { continue };
-            let throughput = *self.tput_cache.entry((model, kind)).or_insert_with(|| {
-                let graph = model.build();
-                exclusive_throughput(&graph, kind, device, &FillJobSpec::default_batch_sizes())
-                    .map(|(t, _)| t)
-            });
-            let Some(throughput) = throughput else {
+            let Some(plan) = profiles.plan(model, kind, geometry).cloned() else {
                 continue;
             };
-            let samples = ((cfg.backlog_job_gpu_hours * 3600.0 * throughput).round() as u64).max(1);
+            let Some(samples) = profiles.samples_for(model, kind, cfg.backlog_job_gpu_hours) else {
+                continue;
+            };
             let id = self.next_job_id;
             self.next_job_id += 1;
             let job = FillJobSpec::new(id, model, kind, samples);
@@ -583,6 +565,11 @@ impl PhysicalSim {
     }
 }
 
+/// A stage's fillable windows as `(duration, free_memory)` planner slots.
+pub(crate) fn window_slots(windows: &[BubbleWindow]) -> impl Iterator<Item = BubbleSlot> + '_ {
+    windows.iter().map(|w| (w.duration, w.free_memory))
+}
+
 /// Critical-path aggregation of one iteration's per-stage stalls: stalls
 /// on different stages partially overlap, so the longest is fully paid
 /// and the rest half. Shared by every fine-grained backend so their
@@ -701,9 +688,9 @@ pub(crate) fn sig_rotation(rotation: &Option<MixRotation>, out: &mut Vec<u64>) {
 }
 
 /// Appends one device slot's executor state to a signature. The plan's
-/// `Arc` pointer stands in for (model, kind, stage, plan) identity: plan
-/// cache entries live for the whole run, so equal pointers mean the same
-/// profiled plan. Job ids are excluded on purpose (see the backends'
+/// `Arc` pointer stands in for (model, kind, geometry, plan) identity:
+/// memoized plans live for the whole run, so equal pointers mean the
+/// same profiled plan. Job ids are excluded on purpose (see the backends'
 /// `steady_sig`).
 pub(crate) fn sig_executor(ex: Option<&FillJobExecutor>, out: &mut Vec<u64>) {
     match ex {

@@ -9,10 +9,12 @@
 //! tests), exactly as the paper's arrival/completion simulator replays
 //! profiled patterns between events.
 
-use pipefill_executor::{plan_best, ExecutionPlan, ExecutorConfig, FillJobSpec};
+use pipefill_executor::{ExecutionPlan, ExecutorConfig, FillProfiles, GeometryId};
 use pipefill_model_zoo::{JobKind, ModelId};
-use pipefill_pipeline::MainJobSpec;
+use pipefill_pipeline::{EngineTimeline, MainJobSpec};
 use pipefill_trace::ModelMix;
+
+use crate::physical::window_slots;
 
 /// Per-stage steady rates for one job type.
 #[derive(Debug, Clone, PartialEq)]
@@ -42,23 +44,27 @@ pub fn stage_plans(
     kind: JobKind,
 ) -> Vec<Option<ExecutionPlan>> {
     let timeline = main.engine_timeline();
-    // A large nominal job; plans depend only on model/kind/bubbles.
-    let job = FillJobSpec::new(u64::MAX, model, kind, u64::MAX / 2);
-    timeline
+    let (mut profiles, geometry) = stage_geometry(main, &timeline, exec);
+    geometry
+        .into_iter()
+        .map(|g| profiles.plan(model, kind, g).map(|p| (**p).clone()))
+        .collect()
+}
+
+/// A memo for the main job's device with every stage's fillable windows
+/// interned, in stage order: stages with equal bubbles plan once.
+fn stage_geometry(
+    main: &MainJobSpec,
+    timeline: &EngineTimeline,
+    exec: &ExecutorConfig,
+) -> (FillProfiles, Vec<GeometryId>) {
+    let mut profiles = FillProfiles::new(main.device.clone());
+    let geometry = timeline
         .stages
         .iter()
-        .map(|stage| {
-            let slots: Vec<_> = stage
-                .fillable_windows()
-                .iter()
-                .map(|w| (w.duration, w.free_memory))
-                .collect();
-            if slots.is_empty() {
-                return None;
-            }
-            plan_best(&job, &slots, &main.device, exec).ok()
-        })
-        .collect()
+        .map(|stage| profiles.geometry(window_slots(&stage.fillable_windows()), exec))
+        .collect();
+    (profiles, geometry)
 }
 
 /// Steady rates of one `(model, kind)` pair across the main job's stages.
@@ -136,34 +142,19 @@ pub fn steady_recovered_tflops(main: &MainJobSpec, exec: &ExecutorConfig, mix: &
 
     let timeline = main.engine_timeline();
     let period = timeline.period.as_secs_f64();
-    let device = &main.device;
-    let batches = FillJobSpec::default_batch_sizes();
-
-    // Exclusive throughput per job type (samples/sec on an idle GPU).
-    let exclusive: Vec<Option<f64>> = types
-        .iter()
-        .map(|&(model, kind, _)| {
-            let graph = model.build();
-            pipefill_executor::exclusive_throughput(&graph, kind, device, &batches).map(|(t, _)| t)
-        })
-        .collect();
+    let (mut profiles, geometry) = stage_geometry(main, &timeline, exec);
 
     let mut total = 0.0;
-    for stage in &timeline.stages {
-        let slots: Vec<_> = stage
-            .fillable_windows()
-            .iter()
-            .map(|w| (w.duration, w.free_memory))
-            .collect();
-        if slots.is_empty() {
-            continue; // this stage recovers nothing
-        }
+    // A stage without fillable windows plans nothing and recovers nothing.
+    for &g in &geometry {
         let mut num = 0.0;
         let mut den = 0.0;
-        for (i, &(model, kind, count_w)) in types.iter().enumerate() {
-            let Some(excl) = exclusive[i] else { continue };
-            let probe = FillJobSpec::new(u64::MAX, model, kind, u64::MAX / 2);
-            let Ok(plan) = plan_best(&probe, &slots, device, exec) else {
+        for &(model, kind, count_w) in &types {
+            // Exclusive throughput (samples/sec on an idle GPU).
+            let Some(excl) = profiles.exclusive_throughput(model, kind) else {
+                continue;
+            };
+            let Some(plan) = profiles.plan(model, kind, g) else {
                 continue;
             };
             let pass_secs = plan.main_iterations_per_pass as f64 * period;

@@ -15,7 +15,11 @@
 //!    graph to fill the bubble cycle, then greedily pack source nodes into
 //!    successive bubbles — for every feasible configuration, and keep the
 //!    plan with the highest throughput.
-//! 3. **Execution** ([`FillJobExecutor`]): a state machine the cluster
+//! 3. **Memo** ([`FillProfiles`]): both answers above depend only on the
+//!    job type, the device and the bubble geometry, so runs ask a
+//!    per-device memo that profiles each job type once and shares each
+//!    plan across every stage with the same geometry.
+//! 4. **Execution** ([`FillJobExecutor`]): a state machine the cluster
 //!    simulator drives one bubble at a time; it reports the work done per
 //!    bubble and isolates memory-cap violations to the fill process.
 //!
@@ -42,12 +46,14 @@
 mod config;
 mod executor;
 mod job;
+mod memo;
 pub mod plan;
 pub mod profile;
 
 pub use config::{ExecConfig, ExecTechnique, ExecutorConfig};
 pub use executor::{BubbleExecution, ExecutorCheckpoint, FillJobExecutor};
 pub use job::{FillJobSpec, JobId};
+pub use memo::{FillProfiles, GeometryId};
 pub use plan::{
     plan_best, plan_for_config, plan_whole_graph_only, ExecutionPlan, Partition, PlanError,
 };

@@ -278,23 +278,36 @@ impl DeterministicRng {
     ///
     /// Panics if `weights` is empty or sums to a non-positive value.
     pub fn weighted_index(&mut self, weights: &[f64]) -> usize {
+        self.weighted_index_by(weights, |&w| w)
+    }
+
+    /// [`weighted_index`](Self::weighted_index) over `items`, reading each
+    /// item's weight through `weight` — the same draw and arithmetic,
+    /// without collecting the weights into a vector first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `items` is empty or the weights sum to a non-positive
+    /// value.
+    pub fn weighted_index_by<T>(&mut self, items: &[T], weight: impl Fn(&T) -> f64) -> usize {
         assert!(
-            !weights.is_empty(),
+            !items.is_empty(),
             "weighted_index needs at least one weight"
         );
-        let total: f64 = weights.iter().sum();
+        let total: f64 = items.iter().map(&weight).sum();
         assert!(
             total.is_finite() && total > 0.0,
             "weights must sum to a positive value, got {total}"
         );
         let mut x = self.uniform(0.0, total);
-        for (i, &w) in weights.iter().enumerate() {
+        for (i, item) in items.iter().enumerate() {
+            let w = weight(item);
             if x < w {
                 return i;
             }
             x -= w;
         }
-        weights.len() - 1
+        items.len() - 1
     }
 
     /// Fisher–Yates shuffle.

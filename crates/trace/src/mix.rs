@@ -68,8 +68,7 @@ impl ModelMix {
 
     /// Samples a model.
     pub fn sample_model(&self, rng: &mut DeterministicRng) -> ModelId {
-        let w: Vec<f64> = self.weights.iter().map(|&(_, w)| w).collect();
-        self.weights[rng.weighted_index(&w)].0
+        self.weights[rng.weighted_index_by(&self.weights, |&(_, w)| w)].0
     }
 
     /// Samples a job kind for `model` per the §5.3 rule: sub-700M models
@@ -108,6 +107,23 @@ mod tests {
             .count();
         let frac = cnn as f64 / n as f64;
         assert!((frac - 0.104).abs() < 0.01, "CNN share {frac}");
+    }
+
+    #[test]
+    fn sample_model_draws_like_weighted_index_over_collected_weights() {
+        // Reading weights in place must not move the RNG stream: every
+        // backend's workload draws depend on this exact order.
+        let mix = ModelMix::paper_mix();
+        let weights: Vec<f64> = mix.weights().iter().map(|&(_, w)| w).collect();
+        let mut a = DeterministicRng::seed_from(17);
+        let mut b = DeterministicRng::seed_from(17);
+        for _ in 0..2000 {
+            assert_eq!(
+                mix.sample_model(&mut a),
+                mix.weights()[b.weighted_index(&weights)].0
+            );
+        }
+        assert_eq!(a.state_fingerprint(), b.state_fingerprint());
     }
 
     #[test]

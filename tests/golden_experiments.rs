@@ -26,7 +26,13 @@ fn golden_dir() -> std::path::PathBuf {
 fn golden_check(name: &str, fresh: &str) {
     let path = golden_dir().join(format!("{name}.csv"));
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(&path, fresh).expect("updating golden snapshot");
+        // Stage outside tests/golden and rename into place: the other
+        // tests in this binary read the snapshots concurrently and must
+        // never see a truncated file (nor a stray temp file).
+        let staged =
+            std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("golden-{name}.csv"));
+        std::fs::write(&staged, fresh).expect("staging golden snapshot");
+        std::fs::rename(&staged, &path).expect("updating golden snapshot");
         return;
     }
     let committed = std::fs::read_to_string(&path).unwrap_or_else(|e| {
