@@ -96,8 +96,9 @@ pub enum ClusterEvent {
         /// Pipeline stage index.
         stage: usize,
     },
-    /// A main-job iteration boundary: aggregate per-stage stalls into the
-    /// pipeline's critical path (fine-grained backends only).
+    /// A single-pipeline iteration boundary. No backend schedules it any
+    /// more — the fine-grained engine uses [`ClusterEvent::JobIterationEnd`]
+    /// for every pipeline — but external handlers still match on it.
     IterationEnd,
     /// Iteration boundary of one main job of a fleet (`stage` fields of
     /// fleet events are *flat* indices over all pipelines; this carries
@@ -177,9 +178,8 @@ impl BackendMetrics {
 ///
 /// A backend never owns a time loop: it schedules [`ClusterEvent`]s, reacts
 /// to them in [`EventHandler::handle`], and reads the clock the kernel
-/// hands it. The lifecycle is `prime` → kernel dispatch (fine-grained
-/// backends route each bubble window of a `StageBubbles` event through
-/// their own [`SimBackend::on_bubble`]) → `drain` → `metrics`.
+/// hands it. The lifecycle is `prime` → kernel dispatch → `drain` →
+/// `metrics`.
 pub trait SimBackend: EventHandler<Event = ClusterEvent> {
     /// Which fidelity level this backend implements.
     fn kind(&self) -> BackendKind;
@@ -194,10 +194,11 @@ pub trait SimBackend: EventHandler<Event = ClusterEvent> {
         None
     }
 
-    /// Executes one bubble window of `stage`. Fine-grained backends do the
-    /// per-bubble work (context switch, fill partition, jitter) here;
-    /// backends whose unit of progress is coarser than a bubble keep the
-    /// default no-op.
+    /// Executes one bubble window of `stage` outside the event flow.
+    /// Fine-grained backends do the per-bubble work (context switch, fill
+    /// partition, jitter) a `StageBubbles` event does for each of its
+    /// windows; backends whose unit of progress is coarser than a bubble
+    /// keep the default no-op.
     fn on_bubble(
         &mut self,
         now: SimTime,

@@ -34,8 +34,8 @@ use serde::{Deserialize, Serialize};
 
 use crate::backend::{BackendDriver, BackendKind, BackendMetrics, ClusterEvent, SimBackend};
 use crate::convert::trace_job_to_spec_with;
+use crate::fleet::window_slots;
 use crate::metrics::JctStats;
-use crate::physical::window_slots;
 
 /// Which built-in policy the simulation uses (a serializable stand-in for
 /// the boxed policy trait).

@@ -44,10 +44,12 @@ pub(crate) struct SteadyCounters {
     pub completions: u64,
     /// Fill jobs drawn from the backlog (absolute; advances job ids).
     pub draws: u64,
-    /// Backend-specific third counter (physical: isolated OOMs, fault:
-    /// bubbles lost to downtime) — zero in quiescent runs but carried so
+    /// Bubbles lost to device downtime and fill attempts killed by
+    /// isolated OOMs (absolute) — zero in quiescent runs but carried so
     /// the replay stays fully general.
-    pub aux: u64,
+    pub bubbles_lost: u64,
+    /// See [`SteadyCounters::bubbles_lost`].
+    pub isolated_ooms: u64,
 }
 
 impl SteadyCounters {
@@ -55,7 +57,8 @@ impl SteadyCounters {
         SteadyCounters {
             completions: self.completions - earlier.completions,
             draws: self.draws - earlier.draws,
-            aux: self.aux - earlier.aux,
+            bubbles_lost: self.bubbles_lost - earlier.bubbles_lost,
+            isolated_ooms: self.isolated_ooms - earlier.isolated_ooms,
         }
     }
 }
@@ -116,9 +119,20 @@ fn hash_sig(sig: &[u64]) -> u64 {
     h
 }
 
+/// Signature-history depth per main job of a `jobs`-job fleet:
+/// `(512 / jobs).clamp(64, 512)`. The history bounds both memory and the
+/// longest detectable cycle. A single job keeps 512 boundaries, long
+/// enough for realistic fill-cycle periods (plan cursor × rotation ×
+/// completion interleavings; 64 misses the heterogeneous quiescent
+/// pipeline's cycle). Fleets of 8 jobs or more keep 64 per job: on the
+/// 64-job `fleet_quiescent` benchmark fleet a 512 history skips 42% more
+/// iterations but raises peak RSS from 12 MB to 41 MB.
+pub(crate) fn history_cap(jobs: usize) -> usize {
+    (512 / jobs.max(1)).clamp(64, 512)
+}
+
 /// Detects steady-state cycles at iteration boundaries. One instance per
-/// independent iteration stream (the whole backend for physical/fault,
-/// one per job for the fleet).
+/// independent iteration stream: one per main job.
 #[derive(Debug)]
 pub(crate) struct SteadyDetector {
     enabled: bool,
@@ -274,7 +288,8 @@ impl SteadyDetector {
             .fold(SteadyCounters::default(), |acc, r| SteadyCounters {
                 completions: acc.completions + r.counters.completions,
                 draws: acc.draws + r.counters.draws,
-                aux: acc.aux + r.counters.aux,
+                bubbles_lost: acc.bubbles_lost + r.counters.bubbles_lost,
+                isolated_ooms: acc.isolated_ooms + r.counters.isolated_ooms,
             });
         Some(Skip {
             cycles,
@@ -422,7 +437,8 @@ mod tests {
         let at = |n: u64| SteadyCounters {
             completions: n,
             draws: 2 * n,
-            aux: 0,
+            bubbles_lost: 0,
+            isolated_ooms: 0,
         };
         assert!(!d.observe(fp(&rng), at(0)));
         assert!(!d.observe(fp(&rng), at(1)));
@@ -441,6 +457,17 @@ mod tests {
         assert_eq!(skip.counters.draws, 2);
         assert_eq!(skip.records[0].flops, vec![2.5]);
         assert_eq!(skip.records[0].completed, vec![41]);
+    }
+
+    #[test]
+    fn history_cap_shrinks_with_the_fleet() {
+        assert_eq!(history_cap(1), 512);
+        assert_eq!(history_cap(2), 256);
+        // The benchmark fleets (64 and 1,000 jobs) keep the 64-entry
+        // history their skip counters were pinned with.
+        for jobs in [8, 64, 1_000] {
+            assert_eq!(history_cap(jobs), 64, "{jobs} jobs");
+        }
     }
 
     #[test]

@@ -1,52 +1,64 @@
-//! The fleet-scale multi-job cluster simulator.
+//! The fine-grained cluster simulator: the one engine behind the
+//! physical, fault and fleet backends.
 //!
-//! Every other backend in this crate simulates exactly one
-//! pipeline-parallel main job with a private fill queue; the paper's
-//! headline projections (Figs. 9/10, §6.2) are about *fleets* — thousands
-//! of GPUs running many jobs at once, with bubble-filling operated as a
-//! cluster-level service (the framing FreeRide makes explicit).
-//! [`FleetBackend`] is that fleet: N concurrent main jobs —
-//! heterogeneous pipeline depths, iteration periods, and device
-//! generations per job — on one shared event kernel, sharing one
-//! cluster-wide [`GlobalFillQueue`](pipefill_scheduler::GlobalFillQueue).
+//! Where the coarse simulator replays plans between arrival/completion
+//! events, [`FleetBackend`] executes *every bubble of every iteration* of
+//! N concurrent pipeline-parallel main jobs on one shared event kernel,
+//! with one cluster-wide
+//! [`GlobalFillQueue`](pipefill_scheduler::GlobalFillQueue) behind them
+//! (the paper's fleet projections, Figs. 9/10 and §6.2, with
+//! bubble-filling operated as a cluster service as FreeRide frames it).
+//! The physical backend (the paper's 16-GPU testbed, §6.1) and the fault
+//! backend are presets of it: one-job fleets built by
+//! [`FleetSimConfig::from_physical`] and [`FleetSimConfig::from_fault`].
 //!
-//! * **Per-job mechanics are the physical model's.** Each main job
-//!   unfolds exactly like a [`PhysicalBackend`](crate::PhysicalBackend)
-//!   run: per-stage `StageBubbles` events on a *flat* device index space,
-//!   per-bubble fill execution with jitter and switch costs, and a
-//!   [`ClusterEvent::JobIterationEnd`] per job that folds that job's
-//!   stalls into its own critical path. Each job owns its workload RNG
-//!   stream, so a job's realized workload is independent of which other
-//!   jobs share the fleet — and a **1-job homogeneous fleet reproduces
-//!   the physical backend bit for bit**, which the conformance suite
-//!   pins.
-//! * **The fill layer is cluster-wide.** Device failures (optional,
-//!   seeded per flat device) evict the running fill job; the work since
-//!   its last checkpoint is lost and the job re-enters the *global*
-//!   queue with its original arrival. Locality-aware dispatch: an
-//!   evicted fill job's execution plan is bound to a bubble geometry, so
-//!   it is feasible exactly on stages with matching geometry — its own
-//!   pipeline's stage, or the same stage of any *identically shaped* job
-//!   that admits foreign work (per-job admission). Cross-job resumes are
-//!   counted, making "how much does a global queue buy over per-job
-//!   queues" a measurable quantity.
+//! * **Per-bubble fill execution.** Each iteration of a main job unfolds
+//!   as one `StageBubbles` event per stage on a *flat* device index
+//!   space. Every fillable window runs the stage's fill partition with
+//!   multiplicative timing jitter, an explicit context-switch cost and a
+//!   usable-span floor; whatever overruns the usable span stalls the
+//!   stage. A [`ClusterEvent::JobIterationEnd`] folds the stalls into the
+//!   job's critical path and schedules its next iteration at the
+//!   *stretched* period, so main-job slowdown is an emergent measurement
+//!   — the failure mode the paper's 68% fill-fraction cap avoids (Fig. 5).
+//!   Each job owns its workload RNG stream, so its realized workload does
+//!   not depend on which other jobs share the fleet.
+//! * **Per-stage devices.** A job's stages may run different GPUs. The
+//!   slowest stage paces the pipeline and every other stage gains its
+//!   slack as fillable span (see [`JobGeometry::profile`]); plans, free
+//!   bubble memory and fill throughput come from each stage's own device.
+//! * **Memory-jitter OOMs.** When the actual free memory of a bubble
+//!   falls below a partition's request, the attempt dies as an OOM
+//!   isolated to the Executor (§4.3) and the bubble idles; the main job
+//!   never notices.
+//! * **Device failures.** Optional, seeded per flat device. A failure
+//!   evicts the running fill job; the work since its last checkpoint is
+//!   lost, and the job re-enters the *global* queue with its original
+//!   arrival. It owes a checkpoint reload once revived. An evicted job's
+//!   plan is bound to a bubble geometry, so it is feasible exactly on the
+//!   same stage of any identically shaped job that admits foreign work;
+//!   cross-job resumes are counted.
 //!
-//! Construction profiles each distinct job *shape* once (jobs with
-//! identical main-job spec and executor tuning share bubble geometry)
-//! and fans the profiling across cores through the sweep driver —
-//! results are byte-stable at any thread count because geometry is a
-//! pure function of the spec and all simulation randomness flows through
-//! per-job seeded streams. Fill-job sizing and plans come from one
-//! [`FillProfiles`] memo per distinct device, so every shape on the same
-//! GPU shares throughputs, and stages with equal bubbles share plans.
+//! Construction profiles each distinct job *shape* once (jobs with equal
+//! main-job spec, stage devices and executor tuning share bubble
+//! geometry) and fans the profiling across cores through the sweep
+//! driver — results are byte-stable at any thread count because geometry
+//! is a pure function of the spec and all simulation randomness flows
+//! through per-job and per-device seeded streams. Fill-job sizing and
+//! plans come from one [`FillProfiles`] memo per distinct device, so every
+//! stage on the same GPU shares throughputs, and stages with equal
+//! bubbles share plans.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use pipefill_device::DeviceSpec;
+use pipefill_executor::plan::BubbleSlot;
 use pipefill_executor::{
     ExecutorCheckpoint, ExecutorConfig, FillJobExecutor, FillJobSpec, FillProfiles, GeometryId,
     JobId,
 };
+use pipefill_model_zoo::{JobKind, ModelId};
 use pipefill_pipeline::{BubbleWindow, MainJobSpec, ParallelismConfig, ScheduleKind};
 use pipefill_scheduler::{GlobalFillQueue, JobInfo, SystemState};
 use pipefill_sim_core::rng::DeterministicRng;
@@ -54,20 +66,12 @@ use pipefill_sim_core::{EventHandler, EventQueue, SimDuration, SimTime, Simulati
 use pipefill_trace::{DeviceGeneration, FleetJobPlan, FleetWorkloadConfig, ModelMix};
 use serde::{Deserialize, Serialize};
 
-use crate::backend::{BackendDriver, BackendKind, BackendMetrics, ClusterEvent, SimBackend};
+use crate::backend::{BackendKind, BackendMetrics, ClusterEvent, SimBackend};
 use crate::cluster::PolicyKind;
 use crate::experiments::sweep;
-use crate::ff::{SteadyCounters, SteadyDetector};
-use crate::physical::{
-    critical_path_delay, sig_executor, sig_rotation, window_slots, MixRotation, PhysicalSimConfig,
-};
-
-/// Per-job signature history cap. Smaller than the single-job backends'
-/// [`STEADY_HISTORY`](crate::physical::STEADY_HISTORY): a fleet carries
-/// one detector per main job, and observed steady cycles are short (a few
-/// iterations), so a modest window keeps thousand-job fleets cheap while
-/// still detecting every cycle the other backends do.
-const FLEET_STEADY_HISTORY: usize = 64;
+use crate::fault::FaultSimConfig;
+use crate::ff::{history_cap, Skip, SteadyCounters, SteadyDetector};
+use crate::physical::PhysicalSimConfig;
 
 /// One main job of the fleet.
 #[derive(Debug, Clone)]
@@ -85,6 +89,12 @@ pub struct FleetJobConfig {
     /// Whether this job's stages accept fill work evicted from other
     /// jobs (per-job admission at the global queue).
     pub admits_foreign: bool,
+    /// Per-stage GPUs, paced by the slowest (see
+    /// [`JobGeometry::profile`]); an empty list puts every stage on
+    /// `main_job.device` through the same arithmetic. `None` keeps the
+    /// engine-profiled geometry. Only [`FleetSimConfig::from_fault`] sets
+    /// it.
+    pub(crate) stage_devices: Option<Vec<DeviceSpec>>,
 }
 
 impl FleetJobConfig {
@@ -97,6 +107,7 @@ impl FleetJobConfig {
             iterations: 200,
             seed: 7,
             admits_foreign: true,
+            stage_devices: None,
         }
     }
 
@@ -122,18 +133,17 @@ impl FleetJobConfig {
             executor = executor.with_fill_fraction(plan.fill_fraction);
         }
         FleetJobConfig {
-            main_job,
             executor,
             iterations: plan.iterations,
             seed: plan.seed,
             admits_foreign: plan.admits_foreign,
+            ..FleetJobConfig::new(main_job)
         }
     }
 }
 
 /// Fleet-simulation parameters. Workload knobs shared with the physical
-/// backend keep its defaults so the degenerate single-job fleet stays an
-/// exact physical run.
+/// preset keep its defaults.
 #[derive(Debug, Clone)]
 pub struct FleetSimConfig {
     /// The concurrent main jobs.
@@ -174,6 +184,10 @@ pub struct FleetSimConfig {
     /// `u32::MAX` pins fast-forward off (see
     /// [`PhysicalSimConfig::steady_confirm`]).
     pub steady_confirm: u32,
+    /// Memory-jitter OOM injection (see
+    /// [`PhysicalSimConfig::memory_jitter_cv`]). Only
+    /// [`FleetSimConfig::from_physical`] sets it.
+    pub(crate) memory_jitter_cv: f64,
 }
 
 impl FleetSimConfig {
@@ -200,40 +214,58 @@ impl FleetSimConfig {
             checkpoint_every_bubbles: 8,
             fast_forward: true,
             steady_confirm: 1,
+            memory_jitter_cv: 0.0,
         }
     }
 
-    /// The degenerate fleet: one job carrying exactly the given physical
-    /// configuration. This fleet reproduces
-    /// [`PhysicalBackend`](crate::PhysicalBackend) bit for bit — the
-    /// conformance suite's pin.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the physical configuration injects memory jitter, which
-    /// the fleet backend does not model.
+    /// The physical preset: one job carrying exactly the given physical
+    /// configuration, memory jitter included.
     pub fn from_physical(phys: &PhysicalSimConfig) -> Self {
-        assert_eq!(
-            phys.memory_jitter_cv, 0.0,
-            "the fleet backend does not model memory jitter"
-        );
         let job = FleetJobConfig {
-            main_job: phys.main_job.clone(),
             executor: phys.executor,
             iterations: phys.iterations,
             seed: phys.seed,
-            admits_foreign: true,
+            ..FleetJobConfig::new(phys.main_job.clone())
         };
-        let mut cfg = FleetSimConfig::new(vec![job]);
-        cfg.mix = phys.mix.clone();
-        cfg.jitter_cv = phys.jitter_cv;
-        cfg.usable_fraction = phys.usable_fraction;
-        cfg.backlog_job_gpu_hours = phys.backlog_job_gpu_hours;
-        cfg.deterministic_mix = phys.deterministic_mix;
-        cfg.seed = phys.seed;
-        cfg.fast_forward = phys.fast_forward;
-        cfg.steady_confirm = phys.steady_confirm;
-        cfg
+        FleetSimConfig {
+            mix: phys.mix.clone(),
+            jitter_cv: phys.jitter_cv,
+            usable_fraction: phys.usable_fraction,
+            backlog_job_gpu_hours: phys.backlog_job_gpu_hours,
+            deterministic_mix: phys.deterministic_mix,
+            seed: phys.seed,
+            fast_forward: phys.fast_forward,
+            steady_confirm: phys.steady_confirm,
+            memory_jitter_cv: phys.memory_jitter_cv,
+            ..FleetSimConfig::new(vec![job])
+        }
+    }
+
+    /// The fault preset: one job carrying exactly the given
+    /// heterogeneous, failure-injecting configuration.
+    pub fn from_fault(fault: &FaultSimConfig) -> Self {
+        let job = FleetJobConfig {
+            executor: fault.executor,
+            iterations: fault.iterations,
+            seed: fault.seed,
+            stage_devices: Some(fault.stage_devices.clone()),
+            ..FleetJobConfig::new(fault.main_job.clone())
+        };
+        FleetSimConfig {
+            mix: fault.mix.clone(),
+            jitter_cv: fault.jitter_cv,
+            usable_fraction: fault.usable_fraction,
+            backlog_job_gpu_hours: fault.backlog_job_gpu_hours,
+            deterministic_mix: fault.deterministic_mix,
+            seed: fault.seed,
+            mtbf: fault.mtbf,
+            mean_recovery: fault.mean_recovery,
+            checkpoint_cost: fault.checkpoint_cost,
+            checkpoint_every_bubbles: fault.checkpoint_every_bubbles,
+            fast_forward: fault.fast_forward,
+            steady_confirm: fault.steady_confirm,
+            ..FleetSimConfig::new(vec![job])
+        }
     }
 
     /// Lowers a generated fleet workload (see
@@ -270,9 +302,7 @@ impl FleetSimConfig {
     }
 }
 
-/// Per-job output of a fleet run. The accounting mirrors
-/// [`PhysicalSimResult`](crate::PhysicalSimResult) field for field so
-/// the degenerate single-job fleet can be diffed bit for bit.
+/// Per-job output of a fleet run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FleetJobResult {
     /// Index within the fleet.
@@ -308,6 +338,9 @@ pub struct FleetJobResult {
     pub main_tflops_per_gpu: f64,
     /// Fill jobs completed on this job's stages.
     pub fill_jobs_completed: usize,
+    /// Fill attempts on this job's stages killed by an isolated OOM
+    /// (only non-zero under memory-jitter injection).
+    pub isolated_ooms: u64,
     /// Device failures injected into this job's stages.
     pub failures: u64,
     /// Fill jobs evicted from this job's stages.
@@ -383,29 +416,99 @@ impl FleetSimResult {
 }
 
 /// Bubble geometry and steady-state rates of one job *shape*. Jobs with
-/// identical main-job spec and executor tuning share one geometry (and
-/// one plan cache), so an 8K-GPU fleet profiles each distinct shape
-/// once, not once per job.
+/// identical main-job spec, stage devices and executor tuning share one
+/// geometry, so an 8K-GPU fleet profiles each distinct shape once, not
+/// once per job.
 struct JobGeometry {
     period: SimDuration,
     main_nominal: f64,
     bubble_ratio: f64,
     stage_windows: Vec<Vec<BubbleWindow>>,
+    stage_devices: Vec<DeviceSpec>,
 }
 
 impl JobGeometry {
-    fn profile(main_job: &MainJobSpec) -> Self {
+    /// Runs the engine once and extracts each stage's fillable windows.
+    ///
+    /// With per-stage devices the slowest stage paces the pipeline: the
+    /// period stretches to `period × max(slow_s)`, where `slow_s > 1`
+    /// means stage `s` is slower than `main_job.device`. Each stage keeps
+    /// its own busy time and absorbs the pacing slack as fillable span,
+    ///   `W'_s = P' − slow_s × (P − W_s)`,
+    /// with free bubble memory scaled to the stage's HBM. The main job's
+    /// per-GPU rate scales by `P/P'`, and the bubble-ratio estimate
+    /// scales its busy share the same way.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a non-empty device list does not cover every stage.
+    fn profile(main_job: &MainJobSpec, stage_devices: Option<&[DeviceSpec]>) -> Self {
         let timeline = main_job.engine_timeline();
-        let stage_windows: Vec<Vec<BubbleWindow>> = timeline
+        let windows: Vec<Vec<BubbleWindow>> = timeline
             .stages
             .iter()
             .map(|s| s.fillable_windows())
             .collect();
+        let p = windows.len();
+        let base_period = timeline.period;
+        let base_nominal = main_job.main_job_tflops_per_gpu(&timeline);
+        let base_ratio = timeline.bubble_ratio();
+        let baseline = &main_job.device;
+        let Some(devices) = stage_devices else {
+            return JobGeometry {
+                period: base_period,
+                main_nominal: base_nominal,
+                bubble_ratio: base_ratio,
+                stage_windows: windows,
+                stage_devices: vec![baseline.clone(); p],
+            };
+        };
+        let stage_devices = if devices.is_empty() {
+            vec![baseline.clone(); p]
+        } else {
+            assert_eq!(
+                devices.len(),
+                p,
+                "stage_devices must cover every pipeline stage ({p})"
+            );
+            devices.to_vec()
+        };
+        let slow: Vec<f64> = stage_devices
+            .iter()
+            .map(|d| 1.0 / d.relative_speed(baseline))
+            .collect();
+        let max_slow = slow.iter().cloned().fold(f64::MIN, f64::max);
+        let period = base_period.mul_f64(max_slow);
+        let stage_windows = windows
+            .into_iter()
+            .enumerate()
+            .map(|(s, windows)| {
+                let w_total: SimDuration = windows.iter().map(|w| w.duration).sum();
+                if w_total.is_zero() {
+                    return windows;
+                }
+                let busy = base_period.saturating_sub(w_total).mul_f64(slow[s]);
+                let scale = period.saturating_sub(busy).as_secs_f64() / w_total.as_secs_f64();
+                let mem_scale = stage_devices[s].hbm.as_f64() / baseline.hbm.as_f64();
+                windows
+                    .into_iter()
+                    .map(|w| BubbleWindow {
+                        duration: w.duration.mul_f64(scale),
+                        free_memory: w.free_memory.mul_f64(mem_scale),
+                        offset: w.offset.mul_f64(slow[s]),
+                        kind: w.kind,
+                    })
+                    .collect()
+            })
+            .collect();
+        let period_ratio = base_period.as_secs_f64() / period.as_secs_f64();
+        let avg_slow = slow.iter().sum::<f64>() / p as f64;
         JobGeometry {
-            period: timeline.period,
-            main_nominal: main_job.main_job_tflops_per_gpu(&timeline),
-            bubble_ratio: timeline.bubble_ratio(),
+            period,
+            main_nominal: base_nominal * period_ratio,
+            bubble_ratio: (1.0 - (1.0 - base_ratio) * avg_slow * period_ratio).clamp(0.0, 1.0),
             stage_windows,
+            stage_devices,
         }
     }
 
@@ -414,8 +517,16 @@ impl JobGeometry {
     }
 }
 
+/// Where a stage's fill jobs are sized and planned: its device's memo
+/// and its bubbles' planner geometry in that memo.
+#[derive(Debug, Clone, Copy)]
+struct StagePlanning {
+    memo: usize,
+    geometry: GeometryId,
+}
+
 /// A fill job bound to a stage, with the checkpoint state eviction
-/// needs (the fleet-side twin of the fault backend's stage job).
+/// needs.
 struct FillLease {
     exec: FillJobExecutor,
     ckpt: ExecutorCheckpoint,
@@ -456,6 +567,7 @@ struct JobState {
     executed_flops: f64,
     lost_flops: f64,
     fills_completed: usize,
+    isolated_ooms: u64,
     failures: u64,
     evictions: u64,
     bubbles_lost: u64,
@@ -464,21 +576,143 @@ struct JobState {
     fast_forwarded: u64,
 }
 
-/// The fleet backend: many physical-model pipelines on one kernel, one
-/// global fill queue. See the module docs for the model.
+impl JobState {
+    /// Draws the next backlog fill job of job `j` for a stage planned in
+    /// `profiles` under `geometry`. Returns `None` (leaving the bubble
+    /// idle this round) if several draws in a row are infeasible there.
+    fn draw(
+        &mut self,
+        j: usize,
+        profiles: &mut FillProfiles,
+        geometry: GeometryId,
+        mix: &ModelMix,
+        gpu_hours: f64,
+    ) -> Option<FillJobExecutor> {
+        const MAX_TRIES: usize = 5;
+        for _ in 0..MAX_TRIES {
+            let (model, kind) = match self.rotation.as_mut() {
+                Some(r) => r.next(),
+                None => {
+                    let model = mix.sample_model(&mut self.rng);
+                    (model, mix.sample_kind(model, &mut self.rng))
+                }
+            };
+            // The memo holds `Arc`s, so handing a plan to an executor is
+            // a refcount bump, never a deep copy in the per-draw hot path.
+            let Some(plan) = profiles.plan(model, kind, geometry).cloned() else {
+                continue;
+            };
+            let Some(samples) = profiles.samples_for(model, kind, gpu_hours) else {
+                continue;
+            };
+            let id = ((j as u64) << 32) | self.next_fill_id;
+            self.next_fill_id += 1;
+            return Some(FillJobExecutor::new(
+                FillJobSpec::new(id, model, kind, samples),
+                plan,
+            ));
+        }
+        None
+    }
+
+    /// The absolute counters the steady-state detector differences.
+    fn counters(&self) -> SteadyCounters {
+        SteadyCounters {
+            completions: self.fills_completed as u64,
+            draws: self.next_fill_id,
+            bubbles_lost: self.bubbles_lost,
+            isolated_ooms: self.isolated_ooms,
+        }
+    }
+
+    /// Full behavioral state at an iteration boundary, as exact bit
+    /// patterns. Two boundaries with equal signatures (and no randomness
+    /// consumed in between — enforced separately by the RNG fingerprint)
+    /// evolve identically, which is what licenses a fast-forward skip.
+    /// Job ids are deliberately excluded: they are the one monotone,
+    /// behavior-neutral component, and the skip advances them in closed
+    /// form instead. A running executor's plan `Arc` pointer stands in
+    /// for (model, kind, geometry, plan) identity: memoized plans live for
+    /// the whole run, so equal pointers mean the same profiled plan.
+    fn steady_sig(&self) -> Vec<u64> {
+        // Exact worst-case length: the history keeps every signature, so
+        // slack capacity is resident memory.
+        let rotation_len = self.rotation.as_ref().map_or(0, |r| 2 * r.weights.len());
+        let mut sig = Vec::with_capacity(1 + rotation_len + 11 * self.running.len());
+        match &self.rotation {
+            None => sig.push(0),
+            Some(r) => {
+                sig.push(1);
+                r.sig_into(&mut sig);
+            }
+        }
+        for (up, lease) in self.up.iter().zip(&self.running) {
+            sig.push(*up as u64);
+            let Some(l) = lease else {
+                sig.push(0);
+                continue;
+            };
+            let ex = &l.exec;
+            sig.extend([
+                1,
+                Arc::as_ptr(ex.plan_handle()) as usize as u64,
+                ex.cursor() as u64,
+                ex.samples_done(),
+                ex.flops_done().to_bits(),
+                ex.bubble_time_used().as_nanos(),
+                ex.job().samples,
+                l.unsaved_flops.to_bits(),
+                l.runs_since_ckpt as u64,
+                l.restart_debt.as_nanos(),
+            ]);
+        }
+        sig
+    }
+
+    /// Applies a confirmed skip: replays the cycle's recorded effects
+    /// `skip.cycles` times, in event order, so every accumulator lands
+    /// on the bits the event loop would have produced. Completed ids
+    /// shift by the per-cycle draw stride.
+    fn replay(&mut self, skip: &Skip, completed_ids: &mut Vec<JobId>) {
+        let stride = skip.counters.draws;
+        for m in 1..=skip.cycles {
+            for rec in &skip.records {
+                for &f in &rec.flops {
+                    self.executed_flops += f;
+                }
+                for &id in &rec.completed {
+                    completed_ids.push(JobId(id + m * stride));
+                }
+            }
+        }
+        self.total_delay += skip.delay_sum * skip.cycles;
+        self.iterations_done += skip.iterations() as usize;
+        self.fills_completed += (skip.counters.completions * skip.cycles) as usize;
+        self.next_fill_id += stride * skip.cycles;
+        self.bubbles_lost += skip.counters.bubbles_lost * skip.cycles;
+        self.isolated_ooms += skip.counters.isolated_ooms * skip.cycles;
+        self.fast_forwarded += skip.iterations();
+        // In-flight fill jobs advance with the skipped draws so post-skip
+        // completions continue the event-fidelity id stream.
+        for lease in self.running.iter_mut().flatten() {
+            lease.exec.advance_job_id(stride * skip.cycles);
+        }
+    }
+}
+
+/// The fine-grained engine: many pipelines on one kernel, one global
+/// fill queue. See the module docs for the model.
 pub struct FleetBackend {
     cfg: FleetSimConfig,
-    /// Shape class per job; geometry/caches are indexed by class.
+    /// Shape class per job; geometry and stage planning are per class.
     class_of: Vec<usize>,
     geometry: Vec<JobGeometry>,
-    /// One throughput/plan memo per distinct device: shape classes on
-    /// the same GPU share throughputs, and stages with equal bubble
-    /// geometry and tuning share plans.
+    /// One throughput/plan memo per distinct device: stages on the same
+    /// GPU share throughputs, and stages with equal bubble geometry and
+    /// tuning share plans.
     profiles: Vec<FillProfiles>,
-    /// Index into `profiles` of each class's device.
-    class_memo: Vec<usize>,
-    /// Planner geometry of each class's stages, in its device's memo.
-    class_stage_geometry: Vec<Vec<GeometryId>>,
+    /// Memo and planner geometry of each class's stages.
+    class_stages: Vec<Vec<StagePlanning>>,
     /// First flat device of each job.
     base: Vec<usize>,
     /// Owning job per flat device.
@@ -504,15 +738,18 @@ impl FleetBackend {
     pub fn new(cfg: FleetSimConfig) -> Self {
         assert!(!cfg.jobs.is_empty(), "a fleet needs at least one main job");
 
-        // Shape classes: identical (main job, executor tuning) pairs
-        // share geometry and plan caches.
+        // Shape classes: identical (main job, stage devices, executor
+        // tuning) triples share geometry and stage planning.
         let mut class_of: Vec<usize> = Vec::with_capacity(cfg.jobs.len());
         let mut class_reps: Vec<usize> = Vec::new();
         for (j, job) in cfg.jobs.iter().enumerate() {
             let class = class_reps
                 .iter()
                 .position(|&r| {
-                    cfg.jobs[r].main_job == job.main_job && cfg.jobs[r].executor == job.executor
+                    let rep = &cfg.jobs[r];
+                    rep.main_job == job.main_job
+                        && rep.executor == job.executor
+                        && rep.stage_devices == job.stage_devices
                 })
                 .unwrap_or_else(|| {
                     class_reps.push(j);
@@ -521,21 +758,23 @@ impl FleetBackend {
             class_of.push(class);
         }
         let geometry: Vec<JobGeometry> = sweep::par_map(class_reps.clone(), |rep| {
-            JobGeometry::profile(&cfg.jobs[rep].main_job)
+            let job = &cfg.jobs[rep];
+            JobGeometry::profile(&job.main_job, job.stage_devices.as_deref())
         });
         let mut profiles = Vec::new();
-        let class_memo: Vec<usize> = class_reps
-            .iter()
-            .map(|&rep| FillProfiles::index_for(&mut profiles, &cfg.jobs[rep].main_job.device))
-            .collect();
-        let class_stage_geometry: Vec<Vec<GeometryId>> = class_reps
+        let class_stages: Vec<Vec<StagePlanning>> = class_reps
             .iter()
             .zip(&geometry)
-            .zip(&class_memo)
-            .map(|((&rep, g), &m)| {
+            .map(|(&rep, g)| {
                 g.stage_windows
                     .iter()
-                    .map(|ws| profiles[m].geometry(window_slots(ws), &cfg.jobs[rep].executor))
+                    .zip(&g.stage_devices)
+                    .map(|(windows, device)| {
+                        let memo = FillProfiles::index_for(&mut profiles, device);
+                        let geometry =
+                            profiles[memo].geometry(window_slots(windows), &cfg.jobs[rep].executor);
+                        StagePlanning { memo, geometry }
+                    })
                     .collect()
             })
             .collect();
@@ -547,6 +786,8 @@ impl FleetBackend {
             flat_owner.extend(std::iter::repeat_n(j, geometry[class].stages()));
         }
 
+        // Failure streams fork from a *separate* root so MTBF sweeps
+        // never perturb any workload stream.
         let mut fail_root = DeterministicRng::seed_from(cfg.seed ^ 0x9e37_79b9_7f4a_7c15);
         let fail_rngs: Vec<DeterministicRng> =
             (0..flat_owner.len()).map(|_| fail_root.fork()).collect();
@@ -557,6 +798,7 @@ impl FleetBackend {
             cfg.jobs.iter().map(|job| job.admits_foreign).collect(),
         );
 
+        let cap = history_cap(cfg.jobs.len());
         let jobs_state: Vec<JobState> = cfg
             .jobs
             .iter()
@@ -576,6 +818,7 @@ impl FleetBackend {
                     executed_flops: 0.0,
                     lost_flops: 0.0,
                     fills_completed: 0,
+                    isolated_ooms: 0,
                     failures: 0,
                     evictions: 0,
                     bubbles_lost: 0,
@@ -585,7 +828,7 @@ impl FleetBackend {
                     detector: SteadyDetector::new(
                         cfg.fast_forward && cfg.mtbf == SimDuration::MAX,
                         cfg.steady_confirm,
-                        FLEET_STEADY_HISTORY,
+                        cap,
                     ),
                     fast_forwarded: 0,
                 }
@@ -598,8 +841,7 @@ impl FleetBackend {
             class_of,
             geometry,
             profiles,
-            class_memo,
-            class_stage_geometry,
+            class_stages,
             base,
             idle_state: SystemState::idle(SimTime::ZERO, flat_owner.len()),
             flat_owner,
@@ -630,64 +872,125 @@ impl FleetBackend {
         self.cfg.jobs[j].executor.fill_fraction != 0.0 && self.cfg.jobs[j].iterations > 0
     }
 
-    /// Draws the next backlog fill job for job `j`'s stage `s`.
-    ///
-    /// PARITY: mirrors `PhysicalBackend::draw_job` — same RNG draw order,
-    /// same retry budget — so the 1-job homogeneous fleet stays
-    /// bit-identical to the physical backend (the conformance suite pins
-    /// this). Keep the two in sync when touching either.
-    fn draw_job(&mut self, j: usize, stage: usize) -> Option<FillJobExecutor> {
-        const MAX_TRIES: usize = 5;
+    /// Executes the bubble windows of job `j`'s stage `s` — every window,
+    /// or only window `only` — and returns the stage stall they caused.
+    /// The windows, planning, switch cost and knobs are resolved once per
+    /// call, not once per window.
+    fn run_bubbles(
+        &mut self,
+        now: SimTime,
+        j: usize,
+        s: usize,
+        only: Option<usize>,
+    ) -> SimDuration {
         let class = self.class_of[j];
-        let profiles = &mut self.profiles[self.class_memo[class]];
-        let geometry = self.class_stage_geometry[class][stage];
-        let backlog_gpu_hours = self.cfg.backlog_job_gpu_hours;
-        for _ in 0..MAX_TRIES {
-            let (model, kind) = {
-                let mix = &self.cfg.mix;
-                let js = &mut self.jobs_state[j];
-                match js.rotation.as_mut() {
-                    Some(r) => r.next(),
-                    None => {
-                        let model = mix.sample_model(&mut js.rng);
-                        (model, mix.sample_kind(model, &mut js.rng))
+        let flat = self.base[j] + s;
+        let FleetBackend {
+            cfg,
+            geometry,
+            profiles,
+            class_stages,
+            queue,
+            idle_state,
+            parked,
+            jobs_state,
+            completed_ids,
+            ..
+        } = self;
+        let windows = &geometry[class].stage_windows[s];
+        let (first, windows) = match only {
+            None => (0, &windows[..]),
+            Some(k) => (k, &windows[k..=k]),
+        };
+        let js = &mut jobs_state[j];
+        if !js.up[s] {
+            js.bubbles_lost += windows.len() as u64;
+            return SimDuration::ZERO;
+        }
+        let planning = class_stages[class][s];
+        let profiles = &mut profiles[planning.memo];
+        let switch_overhead = cfg.jobs[j].executor.switch_overhead;
+        let (jitter_cv, usable_fraction, memory_jitter_cv) =
+            (cfg.jitter_cv, cfg.usable_fraction, cfg.memory_jitter_cv);
+        let mut stall = SimDuration::ZERO;
+        for (slot, window) in (first..).zip(windows) {
+            if js.running[s].is_none() {
+                // Evicted fill jobs waiting in the global queue take
+                // priority over fresh backlog draws. The all-idle
+                // snapshot is reused (only the clock moves) rather than
+                // allocating a devices-sized state per pick.
+                let resumed = if queue.queue_len() > 0 {
+                    idle_state.now = now;
+                    queue.pick_for(flat, idle_state).map(|info| {
+                        parked
+                            .remove(&info.id)
+                            .expect("global queue and parked map must stay in sync")
+                    })
+                } else {
+                    None
+                };
+                js.running[s] = resumed.or_else(|| {
+                    js.draw(
+                        j,
+                        profiles,
+                        planning.geometry,
+                        &cfg.mix,
+                        cfg.backlog_job_gpu_hours,
+                    )
+                    .map(FillLease::fresh)
+                });
+            }
+            let Some(lease) = js.running[s].as_mut() else {
+                continue;
+            };
+            // A revived fill job reloads its checkpoint before any new
+            // work; the reload consumes whole bubbles without stalling
+            // the main job.
+            if !lease.restart_debt.is_zero() {
+                let usable = window.duration.mul_f64(usable_fraction);
+                lease.restart_debt = lease.restart_debt.saturating_sub(usable);
+                continue;
+            }
+            // The engine capped the Executor at the profiled free memory,
+            // but the *actual* free memory this bubble may be less: a
+            // request over it dies as an isolated OOM, the bubble idles
+            // and the partition retries next cycle.
+            if memory_jitter_cv > 0.0 {
+                if let Some(need) = lease.exec.pending_memory(slot) {
+                    let actual_free = window.free_memory.mul_f64(js.rng.jitter(memory_jitter_cv));
+                    if need > actual_free {
+                        js.isolated_ooms += 1;
+                        continue;
                     }
                 }
-            };
-            // Refcount bump, not a deep plan copy (hot path).
-            let Some(plan) = profiles.plan(model, kind, geometry).cloned() else {
+            }
+            let run = lease.exec.on_bubble(slot);
+            if run.time_used.is_zero() && run.samples_completed == 0 && !run.job_finished {
                 continue;
-            };
-            let Some(samples) = profiles.samples_for(model, kind, backlog_gpu_hours) else {
-                continue;
-            };
-            let js = &mut self.jobs_state[j];
-            let id = ((j as u64) << 32) | js.next_fill_id;
-            js.next_fill_id += 1;
-            let job = FillJobSpec::new(id, model, kind, samples);
-            return Some(FillJobExecutor::new(job, plan));
-        }
-        None
-    }
-
-    /// Finds work for an idle stage: evicted fill jobs in the global
-    /// queue take priority over fresh backlog draws.
-    fn acquire(&mut self, j: usize, s: usize, now: SimTime) -> Option<FillLease> {
-        if self.queue.queue_len() > 0 {
-            let flat = self.base[j] + s;
-            // Reuse the all-idle snapshot (only the clock moves) rather
-            // than allocating a devices-sized state per pick — this is
-            // the hot path of every refill in a large fleet.
-            self.idle_state.now = now;
-            if let Some(info) = self.queue.pick_for(flat, &self.idle_state) {
-                let lease = self
-                    .parked
-                    .remove(&info.id)
-                    .expect("global queue and parked map must stay in sync");
-                return Some(lease);
+            }
+            lease.unsaved_flops += run.flops;
+            lease.runs_since_ckpt += 1;
+            if !run.job_finished && lease.runs_since_ckpt >= cfg.checkpoint_every_bubbles {
+                lease.ckpt = lease.exec.checkpoint();
+                lease.unsaved_flops = 0.0;
+                lease.runs_since_ckpt = 0;
+            }
+            let finished_id = lease.exec.job().id;
+            js.executed_flops += run.flops;
+            js.detector.record_flops(run.flops);
+            // Jittered reality: the bubble and the partition both
+            // deviate from their profiled durations.
+            let actual_window = window.duration.mul_f64(js.rng.jitter(jitter_cv));
+            let used = switch_overhead + run.time_used.mul_f64(js.rng.jitter(jitter_cv));
+            stall += used.saturating_sub(actual_window.mul_f64(usable_fraction));
+            if run.job_finished {
+                js.fills_completed += 1;
+                js.detector.record_completion(finished_id.0);
+                js.running[s] = None;
+                completed_ids.push(finished_id);
             }
         }
-        self.draw_job(j, s).map(FillLease::fresh)
+        stall
     }
 
     /// Evicts the fill job running on job `j`'s stage `s` (device
@@ -721,6 +1024,41 @@ impl FleetBackend {
         self.parked.insert(lease.exec.job().id, lease);
     }
 
+    /// The metrics of job 0 alone, reported as `kind` — what the
+    /// one-job physical and fault presets report. Built from the job's
+    /// own values, not the device-weighted fleet aggregate, whose
+    /// multiply-then-divide by the pipeline depth is not bit-exact.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the backend has not been drained yet.
+    pub(crate) fn preset_metrics(
+        &self,
+        kind: BackendKind,
+        events_dispatched: u64,
+    ) -> BackendMetrics {
+        let job = &self
+            .result
+            .as_ref()
+            .expect("metrics requested before drain")
+            .jobs[0];
+        BackendMetrics {
+            kind,
+            num_devices: job.stages,
+            elapsed: job.elapsed,
+            events_dispatched,
+            fill_flops: job.fill_flops,
+            recovered_tflops_per_gpu: job.recovered_tflops_per_gpu,
+            main_tflops_per_gpu: job.main_tflops_per_gpu,
+            main_slowdown: job.main_slowdown,
+            bubble_ratio: job.bubble_ratio,
+            jobs_completed: job.fill_jobs_completed,
+            evictions: job.evictions,
+            lost_fill_flops: job.lost_fill_flops,
+            goodput_fraction: BackendMetrics::goodput_of(job.fill_flops, job.lost_fill_flops),
+        }
+    }
+
     /// The detailed result. Only valid after the driver has run.
     ///
     /// # Panics
@@ -739,13 +1077,12 @@ impl EventHandler for FleetBackend {
         match event {
             ClusterEvent::StageBubbles { stage } => {
                 let (j, s) = self.locate(stage);
-                self.jobs_state[j].stage_delays.push(SimDuration::ZERO);
-                for slot in 0..self.geometry[self.class_of[j]].stage_windows[s].len() {
-                    self.on_bubble(now, stage, slot, queue);
-                }
+                let stall = self.run_bubbles(now, j, s, None);
+                self.jobs_state[j].stage_delays.push(stall);
                 // This job's last stage ran: its stall aggregate is
                 // known, and its iteration boundary lands at its own
-                // stretched period.
+                // *stretched* period, so the kernel clock carries the
+                // emergent slowdown.
                 if s + 1 == self.stages_of(j) {
                     let delay = critical_path_delay(&self.jobs_state[j].stage_delays);
                     queue.push(
@@ -763,78 +1100,39 @@ impl EventHandler for FleetBackend {
                 js.total_delay += delay;
                 js.stage_delays.clear();
                 js.iterations_done += 1;
-                if js.iterations_done < iterations {
-                    // Steady-state fast-forward, per job: each main job
-                    // is an independent iteration stream while faults are
-                    // off (the detector's arming gate), so a job can skip
-                    // its own cycles regardless of what the rest of the
-                    // fleet is doing. Mechanics as in the physical
-                    // backend; the fill-id stream is replayed with the
-                    // per-cycle draw stride like the fault backend's.
-                    let mut next_at = now;
-                    if js.detector.enabled() {
-                        let counters = SteadyCounters {
-                            completions: js.fills_completed as u64,
-                            draws: js.next_fill_id,
-                            aux: js.bubbles_lost,
-                        };
-                        if js.detector.observe(js.rng.state_fingerprint(), counters) {
-                            let mut sig = Vec::with_capacity(2 + 10 * p);
-                            sig_rotation(&js.rotation, &mut sig);
-                            for (s, lease) in js.running.iter().enumerate() {
-                                sig.push(js.up[s] as u64);
-                                match lease {
-                                    None => sig_executor(None, &mut sig),
-                                    Some(l) => {
-                                        sig_executor(Some(&l.exec), &mut sig);
-                                        sig.push(l.unsaved_flops.to_bits());
-                                        sig.push(l.runs_since_ckpt as u64);
-                                        sig.push(l.restart_debt.as_nanos());
-                                    }
-                                }
-                            }
-                            let remaining = (iterations - js.iterations_done) as u64;
-                            if let Some(skip) = js.detector.end_iteration(sig, delay, remaining) {
-                                let stride = skip.counters.draws;
-                                for m in 1..=skip.cycles {
-                                    for rec in &skip.records {
-                                        for &f in &rec.flops {
-                                            js.executed_flops += f;
-                                        }
-                                        for &id in &rec.completed {
-                                            self.completed_ids.push(JobId(id + m * stride));
-                                        }
-                                    }
-                                }
-                                js.total_delay += skip.delay_sum * skip.cycles;
-                                js.iterations_done += skip.iterations() as usize;
-                                js.fills_completed +=
-                                    (skip.counters.completions * skip.cycles) as usize;
-                                js.next_fill_id += skip.counters.draws * skip.cycles;
-                                js.bubbles_lost += skip.counters.aux * skip.cycles;
-                                js.fast_forwarded += skip.iterations();
-                                // In-flight fill jobs advance with the
-                                // skipped draws so post-skip completions
-                                // continue the event-fidelity id stream.
-                                for lease in js.running.iter_mut().flatten() {
-                                    lease.exec.advance_job_id(stride * skip.cycles);
-                                }
-                                // Each skipped iteration would have fired
-                                // one StageBubbles per stage of this job
-                                // plus its JobIterationEnd.
-                                queue.credit(skip.iterations() * (p as u64 + 1));
-                                next_at = now + (period * skip.len + skip.delay_sum) * skip.cycles;
-                            }
-                        }
+                if js.iterations_done >= iterations {
+                    return;
+                }
+                // Steady-state fast-forward, per job: each main job is an
+                // independent iteration stream while faults are off (the
+                // detector's arming gate). If this boundary's full state
+                // matches an earlier one with the RNG frozen in between,
+                // replay the cycle's recorded effects instead of
+                // simulating its events, and resume event fidelity at the
+                // advanced clock. Bit-for-bit identical by construction.
+                let mut next_at = now;
+                if js.detector.enabled()
+                    && js
+                        .detector
+                        .observe(js.rng.state_fingerprint(), js.counters())
+                {
+                    let remaining = (iterations - js.iterations_done) as u64;
+                    let sig = js.steady_sig();
+                    if let Some(skip) = js.detector.end_iteration(sig, delay, remaining) {
+                        js.replay(&skip, &mut self.completed_ids);
+                        // Each skipped iteration would have fired one
+                        // StageBubbles per stage plus its JobIterationEnd.
+                        queue.credit(skip.iterations() * (p as u64 + 1));
+                        next_at = now + (period * skip.len + skip.delay_sum) * skip.cycles;
                     }
-                    for s in 0..p {
-                        queue.push(
-                            next_at,
-                            ClusterEvent::StageBubbles {
-                                stage: self.base[j] + s,
-                            },
-                        );
-                    }
+                }
+                for s in 0..p {
+                    queue.push(
+                        next_at,
+                        ClusterEvent::StageBubbles {
+                            stage: self.base[j] + s,
+                        },
+                    );
                 }
             }
             ClusterEvent::DeviceFailure { device } => {
@@ -864,6 +1162,8 @@ impl EventHandler for FleetBackend {
             ClusterEvent::DeviceRecovery { device } => {
                 let (j, s) = self.locate(device);
                 self.jobs_state[j].up[s] = true;
+                // Keep the failure process alive only while iterations
+                // remain; otherwise the chain would outlive the run.
                 if self.jobs_state[j].iterations_done < self.cfg.jobs[j].iterations {
                     let gap = self.fail_rngs[device].exponential_duration(self.cfg.mtbf);
                     if let Some(at) = now.checked_add(gap) {
@@ -886,6 +1186,8 @@ impl SimBackend for FleetBackend {
     }
 
     fn prime(&mut self, sim: &mut Simulation<ClusterEvent>) {
+        // A fill fraction of exactly 0.0 is the no-filling baseline: no
+        // bubble events exist for that job, it runs the nominal pipeline.
         for j in 0..self.cfg.jobs.len() {
             if !self.job_filling(j) {
                 continue;
@@ -921,61 +1223,12 @@ impl SimBackend for FleetBackend {
         _queue: &mut EventQueue<ClusterEvent>,
     ) {
         let (j, s) = self.locate(stage);
-        if !self.jobs_state[j].up[s] {
-            self.jobs_state[j].bubbles_lost += 1;
-            return;
-        }
-        let window = self.geometry[self.class_of[j]].stage_windows[s][slot];
-        if self.jobs_state[j].running[s].is_none() {
-            let lease = self.acquire(j, s, now);
-            self.jobs_state[j].running[s] = lease;
-        }
-        let jitter_cv = self.cfg.jitter_cv;
-        let usable_fraction = self.cfg.usable_fraction;
-        let switch_overhead = self.cfg.jobs[j].executor.switch_overhead;
-        let ckpt_every = self.cfg.checkpoint_every_bubbles;
-        let js = &mut self.jobs_state[j];
-        let Some(lease) = js.running[s].as_mut() else {
-            return;
-        };
-        // A revived fill job reloads its checkpoint before any new work;
-        // the reload consumes whole bubbles without stalling the main
-        // job.
-        if !lease.restart_debt.is_zero() {
-            let usable = window.duration.mul_f64(usable_fraction);
-            lease.restart_debt = lease.restart_debt.saturating_sub(usable);
-            return;
-        }
-        let run = lease.exec.on_bubble(slot);
-        if run.time_used.is_zero() && run.samples_completed == 0 && !run.job_finished {
-            return;
-        }
-        lease.unsaved_flops += run.flops;
-        lease.runs_since_ckpt += 1;
-        let finished = run.job_finished;
-        let finished_id = lease.exec.job().id;
-        if !finished && lease.runs_since_ckpt >= ckpt_every {
-            lease.ckpt = lease.exec.checkpoint();
-            lease.unsaved_flops = 0.0;
-            lease.runs_since_ckpt = 0;
-        }
-        js.executed_flops += run.flops;
-        js.detector.record_flops(run.flops);
-        // Jittered reality, identical to the physical backend: bubble
-        // and partition both deviate from their profiled durations.
-        let actual_window = window.duration.mul_f64(js.rng.jitter(jitter_cv));
-        let used = switch_overhead + run.time_used.mul_f64(js.rng.jitter(jitter_cv));
-        let usable = actual_window.mul_f64(usable_fraction);
-        let delay = used.saturating_sub(usable);
-        if js.stage_delays.is_empty() {
-            js.stage_delays.push(SimDuration::ZERO);
-        }
-        *js.stage_delays.last_mut().expect("just ensured non-empty") += delay;
-        if finished {
-            js.fills_completed += 1;
-            js.detector.record_completion(finished_id.0);
-            js.running[s] = None;
-            self.completed_ids.push(finished_id);
+        let stall = self.run_bubbles(now, j, s, Some(slot));
+        // A direct call joins the stall of the stage in flight, opening
+        // one if no `StageBubbles` event has.
+        match self.jobs_state[j].stage_delays.last_mut() {
+            Some(delay) => *delay += stall,
+            None => self.jobs_state[j].stage_delays.push(stall),
         }
     }
 
@@ -1002,8 +1255,10 @@ impl SimBackend for FleetBackend {
             let nominal_total = geo.period * iterations as u64;
             let js = &mut self.jobs_state[j];
             let elapsed = nominal_total + js.total_delay;
-            // Outages in flight at the end only count up to this job's
-            // final iteration boundary.
+            // An outage in flight at the end only counts up to this
+            // job's final iteration boundary: downtime never exceeds the
+            // span the run observed. Only the last outage per device can
+            // overhang (later failures are dropped by the post-run guard).
             let run_end = SimTime::ZERO + elapsed;
             for s in 0..p {
                 let until = self.down_until[self.base[j] + s];
@@ -1058,6 +1313,7 @@ impl SimBackend for FleetBackend {
                 },
                 main_tflops_per_gpu: main_tflops,
                 fill_jobs_completed: js.fills_completed,
+                isolated_ooms: js.isolated_ooms,
                 failures: js.failures,
                 evictions: js.evictions,
                 bubbles_lost: js.bubbles_lost,
@@ -1126,30 +1382,179 @@ impl SimBackend for FleetBackend {
     }
 }
 
-/// The fleet simulator: the convenience entry point wrapping
-/// [`FleetBackend`] in a [`BackendDriver`]. See module docs.
-#[derive(Debug)]
-pub struct FleetSim {
-    config: FleetSimConfig,
+/// Implements [`EventHandler`] and [`SimBackend`] for a newtype preset
+/// over a one-job [`FleetBackend`]: everything delegates to the fleet,
+/// and the metrics are its job 0's (see
+/// [`FleetBackend::preset_metrics`]), reported as `$kind`.
+macro_rules! one_job_preset {
+    ($preset:ty, $kind:expr) => {
+        impl pipefill_sim_core::EventHandler for $preset {
+            type Event = $crate::backend::ClusterEvent;
+
+            fn handle(
+                &mut self,
+                now: pipefill_sim_core::SimTime,
+                event: $crate::backend::ClusterEvent,
+                queue: &mut pipefill_sim_core::EventQueue<$crate::backend::ClusterEvent>,
+            ) {
+                self.0.handle(now, event, queue);
+            }
+        }
+
+        impl $crate::backend::SimBackend for $preset {
+            fn kind(&self) -> $crate::backend::BackendKind {
+                $kind
+            }
+
+            fn prime(
+                &mut self,
+                sim: &mut pipefill_sim_core::Simulation<$crate::backend::ClusterEvent>,
+            ) {
+                self.0.prime(sim);
+            }
+
+            fn on_bubble(
+                &mut self,
+                now: pipefill_sim_core::SimTime,
+                stage: usize,
+                slot: usize,
+                queue: &mut pipefill_sim_core::EventQueue<$crate::backend::ClusterEvent>,
+            ) {
+                self.0.on_bubble(now, stage, slot, queue);
+            }
+
+            fn drain(&mut self, now: pipefill_sim_core::SimTime) {
+                self.0.drain(now);
+            }
+
+            fn metrics(&self, events_dispatched: u64) -> $crate::backend::BackendMetrics {
+                self.0.preset_metrics($kind, events_dispatched)
+            }
+        }
+    };
+}
+pub(crate) use one_job_preset;
+
+/// A stage's fillable windows as `(duration, free_memory)` planner slots.
+pub(crate) fn window_slots(windows: &[BubbleWindow]) -> impl Iterator<Item = BubbleSlot> + '_ {
+    windows.iter().map(|w| (w.duration, w.free_memory))
 }
 
-impl FleetSim {
-    /// Creates a simulator.
-    pub fn new(config: FleetSimConfig) -> Self {
-        FleetSim { config }
+/// Critical-path aggregation of one iteration's per-stage stalls: stalls
+/// on different stages partially overlap, so the longest is fully paid
+/// and the rest half.
+fn critical_path_delay(stage_delays: &[SimDuration]) -> SimDuration {
+    let max = stage_delays
+        .iter()
+        .copied()
+        .max()
+        .unwrap_or(SimDuration::ZERO);
+    let sum: SimDuration = stage_delays.iter().copied().sum();
+    max + (sum - max).mul_f64(0.5)
+}
+
+/// Weighted round-robin over a model mix (largest-accumulator rule), with
+/// training/inference alternation for the sub-700M models — realizes mix
+/// weights exactly, without sampling noise.
+#[derive(Debug)]
+struct MixRotation {
+    weights: Vec<(ModelId, f64)>,
+    acc: Vec<f64>,
+    kind_flip: HashMap<ModelId, bool>,
+}
+
+impl MixRotation {
+    /// Validates the mix and builds the rotation. Non-finite, negative or
+    /// all-zero weights are reported as an error instead of deferring a
+    /// panic into the per-draw selection loop.
+    fn try_new(mix: &ModelMix) -> Result<Self, String> {
+        Self::try_from_weights(mix.weights())
     }
 
-    /// Runs the simulation on the shared event kernel.
-    pub fn run(&self) -> FleetSimResult {
-        let (_, backend) = BackendDriver::new(FleetBackend::new(self.config.clone())).run();
-        backend.into_result()
+    fn try_from_weights(raw: &[(ModelId, f64)]) -> Result<Self, String> {
+        if raw.is_empty() {
+            return Err("model mix has no entries".to_string());
+        }
+        for &(m, w) in raw {
+            if !w.is_finite() || w < 0.0 {
+                return Err(format!("model mix weight for {m:?} is not usable: {w}"));
+            }
+        }
+        let total: f64 = raw.iter().map(|&(_, w)| w).sum();
+        if !total.is_finite() || total <= 0.0 {
+            return Err(format!("model mix weights sum to {total}, need > 0"));
+        }
+        let weights: Vec<(ModelId, f64)> = raw.iter().map(|&(m, w)| (m, w / total)).collect();
+        Ok(MixRotation {
+            acc: vec![0.0; weights.len()],
+            weights,
+            kind_flip: HashMap::new(),
+        })
+    }
+
+    /// # Panics
+    ///
+    /// Panics if the mix fails [`Self::try_new`] validation. Every
+    /// in-tree [`ModelMix`] constructor produces valid weights.
+    fn new(mix: &ModelMix) -> Self {
+        Self::try_new(mix).expect("invalid model mix")
+    }
+
+    fn next(&mut self) -> (ModelId, JobKind) {
+        for (i, &(_, w)) in self.weights.iter().enumerate() {
+            self.acc[i] += w;
+        }
+        // Manual total-order scan with a fixed index-order tie rule:
+        // `>=` keeps the *highest* maximal index, so exact ties (e.g. a
+        // 50/50 blend) resolve identically on every run and platform.
+        // This replaces `max_by(partial_cmp(..).expect(..))`, which
+        // panicked on NaN; the tie direction deliberately matches
+        // `max_by`'s last-maximum rule so realized sequences (and the
+        // golden experiment outputs derived from them) are unchanged.
+        let mut best = 0;
+        for i in 1..self.acc.len() {
+            if self.acc[i] >= self.acc[best] {
+                best = i;
+            }
+        }
+        self.acc[best] -= 1.0;
+        let model = self.weights[best].0;
+        let kind = if model.trainable_as_fill_job() {
+            let flip = self.kind_flip.entry(model).or_insert(false);
+            *flip = !*flip;
+            if *flip {
+                JobKind::Training
+            } else {
+                JobKind::BatchInference
+            }
+        } else {
+            JobKind::BatchInference
+        };
+        (model, kind)
+    }
+
+    /// Appends the rotation's full state (accumulators and
+    /// training/inference flips) to a steady-state signature, iterating
+    /// in stable weight order — never over the `HashMap`.
+    fn sig_into(&self, out: &mut Vec<u64>) {
+        for (i, &(m, _)) in self.weights.iter().enumerate() {
+            out.push(self.acc[i].to_bits());
+            out.push(self.kind_flip.get(&m).copied().unwrap_or(false) as u64);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::physical::PhysicalSim;
+    use crate::backend::{BackendConfig, BackendDriver};
+
+    fn run(cfg: FleetSimConfig) -> FleetSimResult {
+        BackendConfig::Fleet(cfg)
+            .run()
+            .fleet()
+            .expect("fleet detail")
+    }
 
     fn physical_config(seed: u64) -> PhysicalSimConfig {
         let main = MainJobSpec::physical_5b(8, ScheduleKind::GPipe);
@@ -1182,7 +1587,7 @@ mod tests {
         for job in &mut cfg.jobs {
             job.iterations = 0;
         }
-        let result = FleetSim::new(cfg).run();
+        let result = run(cfg);
         assert_eq!(result.elapsed, SimDuration::ZERO);
         assert_eq!(result.fill_flops, 0.0);
         for (name, v) in [
@@ -1207,11 +1612,14 @@ mod tests {
 
     #[test]
     fn single_job_fleet_matches_physical_bit_for_bit() {
-        // The degenerate pin: one homogeneous job, no faults — every
-        // randomness-consuming code path is the physical backend's.
+        // The degenerate pin: the physical preset's job-0 view and the
+        // fleet aggregate of the same one-job fleet agree bit for bit.
         let phys_cfg = physical_config(7);
-        let phys = PhysicalSim::new(phys_cfg.clone()).run();
-        let fleet = FleetSim::new(FleetSimConfig::from_physical(&phys_cfg)).run();
+        let phys = BackendConfig::Physical(phys_cfg.clone())
+            .run()
+            .physical()
+            .expect("physical detail");
+        let fleet = run(FleetSimConfig::from_physical(&phys_cfg));
         assert_eq!(fleet.jobs.len(), 1);
         let job = &fleet.jobs[0];
         assert_eq!(job.fill_flops, phys.fill_flops);
@@ -1234,8 +1642,8 @@ mod tests {
     #[test]
     fn deterministic_per_seed() {
         let cfg = twin_fleet(11).with_mtbf(SimDuration::from_secs(400));
-        let a = FleetSim::new(cfg.clone()).run();
-        let b = FleetSim::new(cfg).run();
+        let a = run(cfg.clone());
+        let b = run(cfg);
         assert_eq!(a, b);
     }
 
@@ -1243,10 +1651,10 @@ mod tests {
     fn jobs_are_independent_without_faults() {
         // A job's workload stream is its own: adding a second job to the
         // fleet must not perturb the first one's results.
-        let solo = FleetSim::new(FleetSimConfig::from_physical(&physical_config(3))).run();
+        let solo = run(FleetSimConfig::from_physical(&physical_config(3)));
         let mut duo_cfg = twin_fleet(3);
         duo_cfg.jobs[0].seed = 3;
-        let duo = FleetSim::new(duo_cfg).run();
+        let duo = run(duo_cfg);
         assert_eq!(duo.jobs[0].fill_flops, solo.jobs[0].fill_flops);
         assert_eq!(duo.jobs[0].main_slowdown, solo.jobs[0].main_slowdown);
     }
@@ -1254,7 +1662,7 @@ mod tests {
     #[test]
     fn failures_route_evictions_through_the_global_queue() {
         let cfg = twin_fleet(5).with_mtbf(SimDuration::from_secs(200));
-        let r = FleetSim::new(cfg).run();
+        let r = run(cfg);
         assert!(r.failures > 0, "no failures at a 200s MTBF");
         assert!(r.evictions > 0, "failures never evicted a fill job");
         assert!(r.lost_fill_flops > 0.0);
@@ -1277,7 +1685,7 @@ mod tests {
         for job in &mut cfg.jobs {
             job.admits_foreign = false;
         }
-        let r = FleetSim::new(cfg).run();
+        let r = run(cfg);
         assert!(r.evictions > 0);
         assert_eq!(
             r.cross_job_dispatches, 0,
@@ -1288,7 +1696,7 @@ mod tests {
     #[test]
     fn completed_fill_ids_are_unique_under_churn() {
         let cfg = twin_fleet(9).with_mtbf(SimDuration::from_secs(200));
-        let r = FleetSim::new(cfg).run();
+        let r = run(cfg);
         assert!(r.evictions > 0);
         let mut ids = r.completed_fill_ids.clone();
         ids.sort_unstable();
@@ -1307,7 +1715,7 @@ mod tests {
             iterations: 30,
         };
         let cfg = FleetSimConfig::from_workload(&workload);
-        let r = FleetSim::new(cfg).run();
+        let r = run(cfg);
         assert_eq!(r.jobs.len(), 6);
         assert!(r.total_gpus > 0);
         assert!(r.num_devices >= 6 * 8);
@@ -1332,7 +1740,7 @@ mod tests {
         job.executor.fill_fraction = 0.0;
         job.iterations = 50;
         let cfg = FleetSimConfig::new(vec![job]).with_mtbf(SimDuration::from_secs(60));
-        let r = FleetSim::new(cfg).run();
+        let r = run(cfg);
         assert_eq!(r.fill_flops, 0.0);
         assert_eq!(r.failures, 0, "failure chain must not outlive filling");
         assert_eq!(r.mean_slowdown, 0.0);
@@ -1374,11 +1782,11 @@ mod tests {
             if job.executor.fill_fraction == 0.0 {
                 continue;
             }
-            let memo = &mut fleet.profiles[fleet.class_memo[class]];
-            assert_eq!(memo.device(), &job.main_job.device);
             for (stage, windows) in g.stage_windows.iter().enumerate() {
                 let slots: Vec<_> = window_slots(windows).collect();
-                let geometry = fleet.class_stage_geometry[class][stage];
+                let StagePlanning { memo, geometry } = fleet.class_stages[class][stage];
+                let memo = &mut fleet.profiles[memo];
+                assert_eq!(memo.device(), &job.main_job.device);
                 for (model, kind) in types {
                     let probe = FillJobSpec::new(u64::MAX, model, kind, u64::MAX / 2);
                     let direct = if slots.is_empty() {
@@ -1413,14 +1821,16 @@ mod tests {
         assert!(opted_out < cfg.jobs.len(), "and filling ones");
         let (_, backend) = BackendDriver::new(FleetBackend::new(cfg.clone())).run();
         let mut planned = 0;
-        for (class, geometries) in backend.class_stage_geometry.iter().enumerate() {
+        for (class, stages) in backend.class_stages.iter().enumerate() {
             let rep = backend
                 .class_of
                 .iter()
                 .position(|&c| c == class)
                 .expect("class has a job");
-            let memo = &backend.profiles[backend.class_memo[class]];
-            let types: usize = geometries.iter().map(|&g| memo.planned_types(g)).sum();
+            let types: usize = stages
+                .iter()
+                .map(|sp| backend.profiles[sp.memo].planned_types(sp.geometry))
+                .sum();
             if cfg.jobs[rep].executor.fill_fraction == 0.0 {
                 assert_eq!(types, 0, "class {class} declines filling but was planned");
             }
@@ -1456,8 +1866,8 @@ mod tests {
         let cfg = quiescent_fleet(1, 400);
         let mut off = cfg.clone();
         off.fast_forward = false;
-        let mut r_on = FleetSim::new(cfg).run();
-        let r_off = FleetSim::new(off).run();
+        let mut r_on = run(cfg);
+        let r_off = run(off);
         assert!(
             r_on.iterations_fast_forwarded > 0,
             "steady state never detected"
@@ -1477,8 +1887,8 @@ mod tests {
         let cfg = quiescent_fleet(3, 400);
         let mut off = cfg.clone();
         off.fast_forward = false;
-        let r_on = FleetSim::new(cfg).run();
-        let r_off = FleetSim::new(off).run();
+        let r_on = run(cfg);
+        let r_off = run(off);
         assert!(r_on.iterations_fast_forwarded > 0);
         assert_eq!(r_on.jobs, r_off.jobs);
         assert_eq!(r_on.fill_flops.to_bits(), r_off.fill_flops.to_bits());
@@ -1492,7 +1902,7 @@ mod tests {
 
     #[test]
     fn jittered_fleets_never_fast_forward() {
-        let r = FleetSim::new(twin_fleet(11)).run();
+        let r = run(twin_fleet(11));
         assert_eq!(r.iterations_fast_forwarded, 0);
     }
 
@@ -1514,6 +1924,42 @@ mod tests {
             checkpoint_every_bubbles: 8,
             fast_forward: true,
             steady_confirm: 1,
+            memory_jitter_cv: 0.0,
         });
+    }
+
+    #[test]
+    fn rotation_ties_resolve_by_index_deterministically() {
+        // A 50/50 blend produces exact accumulator ties every other draw;
+        // the fixed index-order rule (last maximal index wins, matching
+        // the historical `max_by` behavior) must alternate
+        // deterministically instead of depending on float comparison
+        // quirks.
+        let mix = ModelMix::blend(ModelId::XlmRobertaXl, ModelId::EfficientNet, 0.5);
+        let mut r = MixRotation::new(&mix);
+        let seq: Vec<ModelId> = (0..8).map(|_| r.next().0).collect();
+        let expect: Vec<ModelId> = (0..8)
+            .map(|i| {
+                if i % 2 == 0 {
+                    ModelId::EfficientNet
+                } else {
+                    ModelId::XlmRobertaXl
+                }
+            })
+            .collect();
+        assert_eq!(seq, expect);
+    }
+
+    #[test]
+    fn rotation_rejects_unusable_weights() {
+        // Regression: non-finite weights used to panic inside the
+        // per-draw `max_by(partial_cmp)` selection; they now surface as a
+        // constructor error.
+        assert!(MixRotation::try_from_weights(&[]).is_err());
+        assert!(MixRotation::try_from_weights(&[(ModelId::BertBase, f64::NAN)]).is_err());
+        assert!(MixRotation::try_from_weights(&[(ModelId::BertBase, f64::INFINITY)]).is_err());
+        assert!(MixRotation::try_from_weights(&[(ModelId::BertBase, -1.0)]).is_err());
+        assert!(MixRotation::try_from_weights(&[(ModelId::BertBase, 0.0)]).is_err());
+        assert!(MixRotation::try_new(&ModelMix::paper_mix()).is_ok());
     }
 }

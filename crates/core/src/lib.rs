@@ -5,31 +5,28 @@
 //! into a cluster-level simulation, plus the experiment drivers that
 //! regenerate every figure of the paper's evaluation (§6).
 //!
-//! Three simulators are provided; the first two mirror the paper's
-//! methodology (§5.1):
+//! Two simulation engines are provided, mirroring the paper's methodology
+//! (§5.1):
 //!
 //! * [`ClusterSim`] — the *coarse, profile-driven* simulator. Like the
 //!   paper's, its events are fill-job arrivals and completions; the time
 //!   in between is computed from execution plans ("deep learning jobs
 //!   have repetitive patterns, so an accurate simulator only needs to
 //!   profile a pattern once").
-//! * [`PhysicalSim`] — the *fine-grained* stand-in for the paper's 16-GPU
-//!   physical cluster: it executes every bubble of every iteration with
-//!   multiplicative timing jitter, explicit context-switch costs and
-//!   engine slack, so main-job slowdown is an emergent measurement rather
-//!   than an assumption. Comparing the two reproduces the paper's
-//!   simulator-validation experiment (Fig. 6, max error <2%).
-//! * [`FaultSim`] — the *heterogeneous, failure-injecting* extension of
-//!   the fine-grained model: per-stage GPU specs reshape bubble geometry
-//!   and fill throughput, and seeded device failures evict running fill
-//!   jobs with FreeRide-style checkpoint/restart accounting. With faults
-//!   off and a homogeneous cluster it reproduces [`PhysicalSim`] bit for
-//!   bit.
-//! * [`FleetSim`] — the *fleet-scale multi-job* simulator: N concurrent
-//!   pipeline-parallel main jobs (heterogeneous depths, periods, device
-//!   generations) on one kernel, sharing one cluster-wide fill queue
-//!   with per-job admission and locality-aware dispatch. A 1-job
-//!   homogeneous fleet reproduces [`PhysicalSim`] bit for bit.
+//! * [`FleetBackend`] — the *fine-grained* engine: N concurrent
+//!   pipeline-parallel main jobs (heterogeneous depths, periods, per-stage
+//!   devices) on one kernel, sharing one cluster-wide fill queue. It
+//!   executes every bubble of every iteration with multiplicative timing
+//!   jitter, explicit context-switch costs and engine slack, so main-job
+//!   slowdown is an emergent measurement rather than an assumption, and
+//!   it injects memory-jitter OOMs and device failures with
+//!   FreeRide-style checkpoint/restart accounting.
+//!
+//! Two presets of the fine-grained engine keep their own configuration
+//! and result types: [`PhysicalBackend`], the stand-in for the paper's
+//! 16-GPU physical cluster (comparing it with the coarse simulator
+//! reproduces the Fig. 6 validation, max error <2%), and [`FaultBackend`],
+//! a heterogeneous, failure-injecting pipeline. Each is a one-job fleet.
 //!
 //! All are [`SimBackend`]s over the shared [`ClusterEvent`] alphabet,
 //! driven by the `pipefill-sim-core` kernel through [`BackendDriver`];
@@ -65,10 +62,8 @@ pub use cluster::{
 };
 pub use convert::{kind_allowed, samples_for_trace_job, trace_job_to_spec, trace_job_to_spec_with};
 pub use csv::{experiments_dir, CsvWriter};
-pub use fault::{FaultBackend, FaultSim, FaultSimConfig, FaultSimResult};
-pub use fleet::{
-    FleetBackend, FleetJobConfig, FleetJobResult, FleetSim, FleetSimConfig, FleetSimResult,
-};
+pub use fault::{FaultBackend, FaultSimConfig, FaultSimResult};
+pub use fleet::{FleetBackend, FleetJobConfig, FleetJobResult, FleetSimConfig, FleetSimResult};
 pub use metrics::{gpus_saved, JctStats, UtilizationBreakdown};
-pub use physical::{PhysicalBackend, PhysicalSim, PhysicalSimConfig, PhysicalSimResult};
+pub use physical::{PhysicalBackend, PhysicalSimConfig, PhysicalSimResult};
 pub use steady::{stage_plans, steady_rate, steady_recovered_tflops, SteadyRate};

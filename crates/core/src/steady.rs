@@ -14,7 +14,7 @@ use pipefill_model_zoo::{JobKind, ModelId};
 use pipefill_pipeline::{EngineTimeline, MainJobSpec};
 use pipefill_trace::ModelMix;
 
-use crate::physical::window_slots;
+use crate::fleet::window_slots;
 
 /// Per-stage steady rates for one job type.
 #[derive(Debug, Clone, PartialEq)]

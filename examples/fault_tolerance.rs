@@ -15,7 +15,7 @@
 //! cargo run --release --example fault_tolerance
 //! ```
 
-use pipefill::core::{FaultSim, FaultSimConfig};
+use pipefill::core::{BackendConfig, FaultSimConfig};
 use pipefill::device::DeviceSpec;
 use pipefill::pipeline::{MainJobSpec, ScheduleKind};
 use pipefill::sim::SimDuration;
@@ -36,7 +36,10 @@ fn main() {
         };
         let mut cfg = FaultSimConfig::new(main.clone()).with_mtbf(mtbf);
         cfg.iterations = 300;
-        let r = FaultSim::new(cfg).run();
+        let r = BackendConfig::Fault(cfg)
+            .run()
+            .fault()
+            .expect("fault detail");
         let label = if mtbf_secs.is_finite() {
             format!("{:.0}s", mtbf_secs)
         } else {
@@ -79,7 +82,10 @@ fn main() {
     for (name, devices) in scenarios {
         let mut cfg = FaultSimConfig::heterogeneous(main.clone(), devices);
         cfg.iterations = 300;
-        let r = FaultSim::new(cfg).run();
+        let r = BackendConfig::Fault(cfg)
+            .run()
+            .fault()
+            .expect("fault detail");
         println!(
             "{name:>34} {:>12} {:>13.2} {:>12.2}",
             r.nominal_period, r.recovered_tflops_per_gpu, r.main_tflops_per_gpu,

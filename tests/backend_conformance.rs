@@ -9,15 +9,15 @@
 //! * reruns from the same seed are bit-identical;
 //! * drain accounts every scheduled job exactly once (no losses, no
 //!   double completions);
-//! * the fault backend with MTBF = ∞ agrees with the physical backend
-//!   within the Fig. 6 tolerance;
+//! * the fault backend with MTBF = ∞ and a homogeneous device list
+//!   reproduces the physical backend bit for bit;
 //! * a 1-job homogeneous fleet reproduces the physical backend bit for
 //!   bit.
 
-use pipefill::core::experiments::validation::AGREEMENT_TOLERANCE;
 use pipefill::core::{
-    BackendConfig, BackendDriver, BackendMetrics, ClusterSimConfig, CoarseBackend, FaultBackend,
-    FaultSimConfig, FleetBackend, FleetSimConfig, PhysicalBackend, PhysicalSimConfig, SimBackend,
+    BackendConfig, BackendDriver, BackendKind, BackendMetrics, ClusterSimConfig, CoarseBackend,
+    FaultBackend, FaultSimConfig, FleetBackend, FleetSimConfig, PhysicalBackend, PhysicalSimConfig,
+    SimBackend,
 };
 use pipefill::pipeline::{MainJobSpec, ScheduleKind};
 use pipefill::sim::{SimDuration, SimTime, StepOutcome};
@@ -319,10 +319,8 @@ fn fleet_single_job_reproduces_physical_bit_for_bit() {
 }
 
 /// The acceptance gate: with fault injection disabled and a homogeneous
-/// device list, the fault backend must agree with the physical backend on
-/// recovered TFLOPs within the Fig. 6 tolerance. (The implementation
-/// actually achieves bit-parity; the tolerance keeps the gate meaningful
-/// if the two fidelities ever drift apart legitimately.)
+/// device list, the fault backend must reproduce the physical backend
+/// **bit for bit** on every shared metric but the backend kind.
 #[test]
 fn fault_with_infinite_mtbf_agrees_with_physical() {
     for seed in [1u64, 5, 9] {
@@ -336,15 +334,28 @@ fn fault_with_infinite_mtbf_agrees_with_physical() {
         let phys = BackendConfig::Physical(phys_cfg).run().metrics;
 
         assert!(fault.recovered_tflops_per_gpu > 0.0);
-        let err = (fault.recovered_tflops_per_gpu - phys.recovered_tflops_per_gpu).abs()
-            / phys.recovered_tflops_per_gpu;
-        assert!(
-            err < AGREEMENT_TOLERANCE,
-            "seed {seed}: fault vs physical disagree by {:.2}% (tolerance {:.0}%)",
-            100.0 * err,
-            100.0 * AGREEMENT_TOLERANCE
-        );
+        assert_eq!(fault.kind, BackendKind::Fault);
+        assert_eq!(phys.kind, BackendKind::Physical);
+        assert_eq!(metric_bits(&fault), metric_bits(&phys), "seed {seed}");
         assert_eq!(fault.evictions, 0);
         assert_eq!(fault.goodput_fraction, 1.0);
     }
+}
+
+/// Every shared-metrics field but the kind, floats as raw bits.
+fn metric_bits(m: &BackendMetrics) -> [u64; 12] {
+    [
+        m.num_devices as u64,
+        m.elapsed.as_nanos(),
+        m.events_dispatched,
+        m.fill_flops.to_bits(),
+        m.recovered_tflops_per_gpu.to_bits(),
+        m.main_tflops_per_gpu.to_bits(),
+        m.main_slowdown.to_bits(),
+        m.bubble_ratio.to_bits(),
+        m.jobs_completed as u64,
+        m.evictions,
+        m.lost_fill_flops.to_bits(),
+        m.goodput_fraction.to_bits(),
+    ]
 }

@@ -2,7 +2,7 @@
 //! seeds and configuration, so every number in EXPERIMENTS.md can be
 //! regenerated to the digit.
 
-use pipefill::core::{ClusterSim, ClusterSimConfig, PhysicalSim, PhysicalSimConfig};
+use pipefill::core::{BackendConfig, ClusterSim, ClusterSimConfig, PhysicalSimConfig};
 use pipefill::executor::{plan_best, ExecutorConfig, FillJobSpec};
 use pipefill::models::{JobKind, ModelId};
 use pipefill::pipeline::{MainJobSpec, ScheduleKind};
@@ -56,7 +56,10 @@ fn physical_sim_reproduces_and_seeds_differ() {
         let mut cfg = PhysicalSimConfig::new(main);
         cfg.iterations = 60;
         cfg.seed = seed;
-        PhysicalSim::new(cfg).run()
+        BackendConfig::Physical(cfg)
+            .run()
+            .physical()
+            .expect("physical detail")
     };
     assert_eq!(mk(5), mk(5));
     let a = mk(5);
