@@ -45,9 +45,11 @@ struct Geometry {
 ///   [`plan_best`] on first use and shared as an [`Arc`].
 ///
 /// It keeps scalars and plans only. The profile menus the two functions
-/// build along the way (one linearized graph per batch size × technique)
-/// are dropped as soon as the answer is known: retaining them costs far
-/// more memory than recomputing the handful of types a run draws.
+/// walk along the way (one linearized graph per batch size × technique)
+/// are not retained: each call shares one per-batch layer-cost table
+/// across that batch's techniques and drops it when the answer is known.
+/// Retaining menus across calls costs far more memory than recomputing
+/// the handful of types a run draws.
 ///
 /// Lookups scan short vectors (a run draws at most a few job types) and
 /// geometries are interned through an ordered map, so nothing here

@@ -20,7 +20,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::config::{ExecConfig, ExecTechnique, ExecutorConfig};
 use crate::job::FillJobSpec;
-use crate::profile::{build_profile, JobProfile};
+use crate::profile::{build_profile, CostTable, JobProfile, NodeProfile};
 
 /// One contiguous chunk of graph nodes assigned to one bubble slot.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -53,6 +53,9 @@ pub enum PlanError {
     NoUsableBubbles,
     /// No configuration in the job's menu produced a feasible plan.
     NoFeasibleConfig,
+    /// The profile's nodes take no time in total (or there are none), so
+    /// Algorithm 1 could replicate the graph without bound.
+    ZeroDurationGraph,
 }
 
 impl std::fmt::Display for PlanError {
@@ -61,6 +64,7 @@ impl std::fmt::Display for PlanError {
             PlanError::NodeDoesNotFit => write!(f, "a graph node fits no bubble"),
             PlanError::NoUsableBubbles => write!(f, "no usable bubble capacity"),
             PlanError::NoFeasibleConfig => write!(f, "no feasible configuration"),
+            PlanError::ZeroDurationGraph => write!(f, "the job graph takes no time"),
         }
     }
 }
@@ -108,19 +112,9 @@ impl ExecutionPlan {
 /// Alias used throughout: one bubble slot = (usable duration, free memory).
 pub type BubbleSlot = (SimDuration, Bytes);
 
-/// Runs Algorithm 1 for one already-built profile.
-///
-/// # Errors
-///
-/// See [`PlanError`].
-pub fn plan_for_config(
-    profile: &JobProfile,
-    bubbles: &[BubbleSlot],
-    exec: &ExecutorConfig,
-) -> Result<ExecutionPlan, PlanError> {
-    exec.validate();
-    // Usable capacity per bubble: the filled fraction minus switch cost.
-    let caps: Vec<BubbleSlot> = bubbles
+/// Usable capacity per bubble: the filled fraction minus switch cost.
+fn usable_slots(bubbles: &[BubbleSlot], exec: &ExecutorConfig) -> Vec<BubbleSlot> {
+    bubbles
         .iter()
         .map(|&(d, m)| {
             (
@@ -129,69 +123,103 @@ pub fn plan_for_config(
                 m,
             )
         })
-        .collect();
-    let total_cap: SimDuration = caps.iter().map(|&(d, _)| d).sum();
-    if total_cap.is_zero() {
-        return Err(PlanError::NoUsableBubbles);
-    }
+        .collect()
+}
 
-    // Node durations as executed in bubbles (cold caches).
+/// Rewrites `nodes` (a profile's graph) to their durations as executed in
+/// bubbles, where cold caches slow them by `exec.cold_start_factor`.
+fn inflate_for_bubbles(nodes: &mut [NodeProfile], exec: &ExecutorConfig) {
     let slowdown = 1.0 / exec.cold_start_factor;
-    let node_dur: Vec<SimDuration> = profile
-        .nodes
-        .iter()
-        .map(|n| n.duration.mul_f64(slowdown))
-        .collect();
-    let node_mem: Vec<Bytes> = profile.nodes.iter().map(|n| n.memory).collect();
-    let node_flops: Vec<f64> = profile.nodes.iter().map(|n| n.flops).collect();
-    let graph_dur: SimDuration = node_dur.iter().copied().sum();
-
-    // Every node must fit in at least one bubble (duration and memory in
-    // the same bubble).
-    for (d, m) in node_dur.iter().zip(&node_mem) {
-        if !caps.iter().any(|&(cd, cm)| *d <= cd && *m <= cm) {
-            return Err(PlanError::NodeDoesNotFit);
-        }
+    for n in nodes {
+        n.duration = n.duration.mul_f64(slowdown);
     }
+}
 
-    // Lines 3–7: replicate the graph while another copy still fits.
-    let mut replicas = 1u64;
-    let mut planned = graph_dur;
-    while planned + graph_dur < total_cap {
-        replicas += 1;
-        planned += graph_dur;
+/// The checks Algorithm 1 needs before packing `nodes` (at bubble speed)
+/// into `caps`: every node fits at least one bubble (duration and memory
+/// in the same bubble), and the graph takes time, or replication would
+/// never end. Returns the graph's total duration.
+fn packable(nodes: &[NodeProfile], caps: &[BubbleSlot]) -> Result<SimDuration, PlanError> {
+    let fits = |n: &NodeProfile| {
+        caps.iter()
+            .any(|&(cd, cm)| n.duration <= cd && n.memory <= cm)
+    };
+    if !nodes.iter().all(fits) {
+        return Err(PlanError::NodeDoesNotFit);
     }
-    let n_nodes = profile.nodes.len();
-    let total_nodes = n_nodes * replicas as usize;
+    let graph_dur: SimDuration = nodes.iter().map(|n| n.duration).sum();
+    if graph_dur.is_zero() {
+        return Err(PlanError::ZeroDurationGraph);
+    }
+    Ok(graph_dur)
+}
+
+/// The key [`plan_best`] maximizes: throughput, with sample ties broken
+/// toward the plan executing more FLOPs (e.g. prefer a bigger
+/// checkpointed batch over a small plain one at equal sample rate).
+fn selection_key(plan: &ExecutionPlan) -> (f64, f64) {
+    (
+        plan.samples_per_main_iteration(),
+        plan.flops_per_pass / plan.main_iterations_per_pass as f64,
+    )
+}
+
+/// Algorithm 1 proper, on `nodes` already at bubble speed that passed
+/// [`packable`] with total `graph_dur`, and `total_cap` the cycle's
+/// non-zero usable time.
+///
+/// With `record` false this is a dry run: it walks the same packing but
+/// keeps no partitions, so the plan carries every per-pass total (and so
+/// the selection key) with an empty `partitions` and nothing allocated.
+fn pack(
+    config: ExecConfig,
+    samples_per_iteration: u64,
+    nodes: &[NodeProfile],
+    caps: &[BubbleSlot],
+    total_cap: SimDuration,
+    graph_dur: SimDuration,
+    record: bool,
+) -> Result<ExecutionPlan, PlanError> {
+    // Lines 3–7: replicate the graph while another copy still fits:
+    // r = max(1, the largest r with r·G < ΣB).
+    let replicas = ((total_cap.as_nanos() - 1) / graph_dur.as_nanos()).max(1);
+    let total_nodes = nodes.len() as u64 * replicas;
+    let last = nodes.len() - 1;
 
     // Lines 8–18: greedy packing into cyclic bubbles. `slot_steps` counts
     // every bubble slot consumed (including ones skipped for memory), so
     // the pass's main-iteration span is exact.
     let mut partitions = Vec::new();
-    let mut next = 0usize; // index into the replicated node sequence
+    let mut flops_per_pass = 0.0;
+    let mut busy = SimDuration::ZERO;
+    let mut placed = 0u64; // nodes of the replicated sequence packed so far
+    let mut k = 0usize; // index of the next node within its replica
     let mut bubble_i = 0usize;
     let mut empty_streak = 0usize;
     let mut slot_steps = 0u64;
-    while next < total_nodes {
+    while placed < total_nodes {
         let (cap_d, cap_m) = caps[bubble_i];
         let mut dur = SimDuration::ZERO;
         let mut mem = Bytes::ZERO;
         let mut flops = 0.0;
         let mut count = 0usize;
         let mut iterations = 0u64;
-        while next < total_nodes {
-            let k = next % n_nodes;
-            if dur + node_dur[k] > cap_d || node_mem[k] > cap_m {
+        while placed < total_nodes {
+            let node = &nodes[k];
+            if dur + node.duration > cap_d || node.memory > cap_m {
                 break;
             }
-            dur += node_dur[k];
-            mem = mem.max(node_mem[k]);
-            flops += node_flops[k];
+            dur += node.duration;
+            mem = mem.max(node.memory);
+            flops += node.flops;
             count += 1;
-            if k == n_nodes - 1 {
+            placed += 1;
+            if k == last {
                 iterations += 1;
+                k = 0;
+            } else {
+                k += 1;
             }
-            next += 1;
         }
         if count == 0 {
             empty_streak += 1;
@@ -203,76 +231,174 @@ pub fn plan_for_config(
             }
         } else {
             empty_streak = 0;
-            partitions.push(Partition {
-                bubble_index: bubble_i,
-                duration: dur,
-                memory: mem,
-                flops,
-                node_count: count,
-                iterations_completed: iterations,
-            });
+            flops_per_pass += flops;
+            busy += dur;
+            if record {
+                partitions.push(Partition {
+                    bubble_index: bubble_i,
+                    duration: dur,
+                    memory: mem,
+                    flops,
+                    node_count: count,
+                    iterations_completed: iterations,
+                });
+            }
         }
         slot_steps += 1;
         bubble_i = (bubble_i + 1) % caps.len();
     }
-    let main_iterations = slot_steps.div_ceil(caps.len() as u64).max(1);
 
     Ok(ExecutionPlan {
-        config: profile.config,
-        iterations_per_pass: replicas,
-        samples_per_pass: replicas * profile.samples_per_iteration,
-        flops_per_pass: partitions.iter().map(|p| p.flops).sum(),
-        busy_time_per_pass: partitions.iter().map(|p| p.duration).sum(),
-        bubbles_per_iteration: caps.len(),
-        main_iterations_per_pass: main_iterations,
+        config,
         partitions,
+        iterations_per_pass: replicas,
+        samples_per_pass: replicas * samples_per_iteration,
+        flops_per_pass,
+        busy_time_per_pass: busy,
+        bubbles_per_iteration: caps.len(),
+        main_iterations_per_pass: slot_steps.div_ceil(caps.len() as u64).max(1),
     })
 }
 
-/// Builds profiles for every configuration in the job's menu, plans each,
-/// and returns the feasible plan with the most samples per main-job
-/// iteration.
+/// Runs Algorithm 1 for one already-built profile.
+///
+/// # Errors
+///
+/// See [`PlanError`].
+pub fn plan_for_config(
+    profile: &JobProfile,
+    bubbles: &[BubbleSlot],
+    exec: &ExecutorConfig,
+) -> Result<ExecutionPlan, PlanError> {
+    exec.validate();
+    let caps = usable_slots(bubbles, exec);
+    let total_cap: SimDuration = caps.iter().map(|&(d, _)| d).sum();
+    if total_cap.is_zero() {
+        return Err(PlanError::NoUsableBubbles);
+    }
+    let mut nodes = profile.nodes.clone();
+    inflate_for_bubbles(&mut nodes, exec);
+    let graph_dur = packable(&nodes, &caps)?;
+    pack(
+        profile.config,
+        profile.samples_per_iteration,
+        &nodes,
+        &caps,
+        total_cap,
+        graph_dur,
+        true,
+    )
+}
+
+/// Returns the feasible plan, over every configuration in the job's menu,
+/// with the most samples per main-job iteration (ties: more FLOPs per
+/// main-job iteration, then the earlier configuration in menu order —
+/// batch sizes as listed, techniques in [`ExecTechnique::applicable`]
+/// order).
+///
+/// The result is exactly the first maximum of [`build_profile`] +
+/// [`plan_for_config`] over the menu, computed in one pass:
+///
+/// * each batch size's layer costs are computed once and every
+///   technique's graph is derived from them into reused buffers;
+/// * configurations are packed dry (no partitions kept) to get their
+///   selection key, and only the winner is planned in full;
+/// * a configuration that provably cannot beat the incumbent is not
+///   packed at all. **Upper bound:** a pass packs `replicas · G` of node
+///   time (`G` the graph's bubble-time duration) into slots that offer at
+///   most `C` = Σ usable slot time per main-job iteration, so
+///   `replicas · G ≤ main_iterations · C` and samples per main-job
+///   iteration `= b · replicas / main_iterations ≤ b · C / G`. A
+///   configuration whose bound (with a 1e-9 relative guard against
+///   rounding) is strictly below the incumbent's sample rate loses on the
+///   first key component. **Monotone batch size:** every node's duration
+///   and memory are non-decreasing in the batch size (compute time is
+///   `flops·(b + half_batch)/(peak·max)`, stream bytes and activations
+///   grow with `b`), so once `(b, t)` has a node that fits no bubble,
+///   every `(b' ≥ b, t)` has one too and is skipped without costing.
 ///
 /// # Errors
 ///
 /// [`PlanError::NoFeasibleConfig`] if nothing fits.
+///
+/// # Panics
+///
+/// Panics (through [`ExecutorConfig::validate`]) on an invalid `exec`.
 pub fn plan_best(
     job: &FillJobSpec,
     bubbles: &[BubbleSlot],
     device: &DeviceSpec,
     exec: &ExecutorConfig,
 ) -> Result<ExecutionPlan, PlanError> {
+    exec.validate();
+    let caps = usable_slots(bubbles, exec);
+    let total_cap: SimDuration = caps.iter().map(|&(d, _)| d).sum();
+    if total_cap.is_zero() {
+        // Every configuration would fail with `NoUsableBubbles`.
+        return Err(PlanError::NoFeasibleConfig);
+    }
     let model = job.model_graph();
-    let mut best: Option<ExecutionPlan> = None;
+    let techniques = ExecTechnique::applicable(job.kind);
+    let mut table = CostTable::new(&model, job.kind, device);
+    let mut nodes = Vec::new();
+    // Per technique, the smallest batch size seen whose graph fits no
+    // bubble: by monotonicity, no batch at least this large fits either.
+    let mut unfit_from: Vec<Option<usize>> = vec![None; techniques.len()];
+    let mut best: Option<(ExecConfig, (f64, f64))> = None;
     for &batch_size in &job.valid_batch_sizes {
-        for &technique in ExecTechnique::applicable(job.kind) {
-            let profile = build_profile(
-                &model,
-                job.kind,
-                ExecConfig {
-                    batch_size,
-                    technique,
-                },
-                device,
-            );
-            let Ok(plan) = plan_for_config(&profile, bubbles, exec) else {
+        let unfit = |from: &Option<usize>| from.is_some_and(|b| batch_size >= b);
+        if unfit_from.iter().all(unfit) {
+            continue;
+        }
+        table.set_batch(batch_size);
+        for (t, &technique) in techniques.iter().enumerate() {
+            if unfit(&unfit_from[t]) {
+                continue;
+            }
+            table.nodes_into(technique, &mut nodes);
+            inflate_for_bubbles(&mut nodes, exec);
+            let graph_dur = match packable(&nodes, &caps) {
+                Ok(graph_dur) => graph_dur,
+                Err(PlanError::NodeDoesNotFit) => {
+                    unfit_from[t] = Some(batch_size);
+                    continue;
+                }
+                Err(_) => continue,
+            };
+            if let Some((_, (incumbent, _))) = best {
+                let bound =
+                    batch_size as f64 * total_cap.as_nanos() as f64 / graph_dur.as_nanos() as f64;
+                if bound * (1.0 + 1e-9) < incumbent {
+                    continue;
+                }
+            }
+            let config = ExecConfig {
+                batch_size,
+                technique,
+            };
+            let Ok(dry) = pack(
+                config,
+                batch_size as u64,
+                &nodes,
+                &caps,
+                total_cap,
+                graph_dur,
+                false,
+            ) else {
                 continue;
             };
-            // Maximize throughput; break sample ties toward the plan
-            // executing more FLOPs (e.g. prefer a bigger checkpointed
-            // batch over a small plain one at equal sample rate).
-            let key = |p: &ExecutionPlan| {
-                (
-                    p.samples_per_main_iteration(),
-                    p.flops_per_pass / p.main_iterations_per_pass as f64,
-                )
-            };
-            if best.as_ref().is_none_or(|b| key(&plan) > key(b)) {
-                best = Some(plan);
+            let key = selection_key(&dry);
+            if best.is_none_or(|(_, incumbent)| key > incumbent) {
+                best = Some((config, key));
             }
         }
     }
-    best.ok_or(PlanError::NoFeasibleConfig)
+    let (config, _) = best.ok_or(PlanError::NoFeasibleConfig)?;
+    plan_for_config(
+        &build_profile(&model, job.kind, config, device),
+        bubbles,
+        exec,
+    )
 }
 
 /// Ablation baseline: no partitioning — the whole fill-job iteration must
@@ -296,16 +422,7 @@ pub fn plan_whole_graph_only(
         .map(|n| n.duration.mul_f64(slowdown))
         .sum();
     let peak = profile.peak_memory();
-    let caps: Vec<BubbleSlot> = bubbles
-        .iter()
-        .map(|&(d, m)| {
-            (
-                d.mul_f64(exec.fill_fraction)
-                    .saturating_sub(exec.switch_overhead),
-                m,
-            )
-        })
-        .collect();
+    let caps = usable_slots(bubbles, exec);
     let fitting: Vec<usize> = caps
         .iter()
         .enumerate()
@@ -493,6 +610,61 @@ mod tests {
             plan.main_iterations_for(8),
             2 * plan.main_iterations_per_pass
         );
+    }
+
+    #[test]
+    fn zero_duration_graph_is_an_error_not_a_hang() {
+        // A graph that takes no time would be replicated without bound.
+        let mut instant = uniform_profile(1, 0, 10);
+        assert_eq!(
+            plan_for_config(&instant, &slots(&[(10, 4)]), &exec()),
+            Err(PlanError::ZeroDurationGraph)
+        );
+        instant.nodes.clear();
+        assert_eq!(
+            plan_for_config(&instant, &slots(&[(10, 4)]), &exec()),
+            Err(PlanError::ZeroDurationGraph)
+        );
+    }
+
+    #[test]
+    fn tie_on_the_full_key_goes_to_the_earlier_configuration() {
+        // On one 100 ms / 4.5 GiB slot, BERT-base inference packs the
+        // same samples and FLOPs per main-job iteration at batch 128 and
+        // 256, plain or with streamed parameters.
+        let device = DeviceSpec::v100();
+        let cfg = ExecutorConfig::default();
+        let bubbles = [(SimDuration::from_millis(100), Bytes::from_gib_f64(4.5))];
+        let model = ModelId::BertBase.build();
+        let key = |batch_size, technique| {
+            let profile = build_profile(
+                &model,
+                JobKind::BatchInference,
+                ExecConfig {
+                    batch_size,
+                    technique,
+                },
+                &device,
+            );
+            selection_key(&plan_for_config(&profile, &bubbles, &cfg).unwrap())
+        };
+        let tied = key(128, ExecTechnique::Plain);
+        assert_eq!(key(128, ExecTechnique::OffloadParams), tied);
+        assert_eq!(key(256, ExecTechnique::Plain), tied);
+        assert_eq!(key(256, ExecTechnique::OffloadParams), tied);
+        for (menu, winner) in [(vec![128, 256], 128), (vec![256, 128], 256)] {
+            let job = FillJobSpec::new(1, ModelId::BertBase, JobKind::BatchInference, 10_000)
+                .with_batch_sizes(menu);
+            let plan = plan_best(&job, &bubbles, &device, &cfg).unwrap();
+            assert_eq!(
+                plan.config,
+                ExecConfig {
+                    batch_size: winner,
+                    technique: ExecTechnique::Plain,
+                }
+            );
+            assert_eq!(selection_key(&plan), tied);
+        }
     }
 
     #[test]

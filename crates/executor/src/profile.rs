@@ -11,7 +11,7 @@
 
 use pipefill_device::{Bytes, DeviceSpec};
 use pipefill_model_zoo::{
-    JobKind, ModelGraph, ADAM_STATE_BYTES_PER_PARAM, FP16_BYTES, GRAD_BYTES_PER_PARAM,
+    JobKind, LayerKind, ModelGraph, ADAM_STATE_BYTES_PER_PARAM, FP16_BYTES, GRAD_BYTES_PER_PARAM,
 };
 use pipefill_sim_core::SimDuration;
 use serde::{Deserialize, Serialize};
@@ -78,6 +78,252 @@ impl JobProfile {
     }
 }
 
+/// Per-layer costs at one batch size that do not depend on the
+/// execution technique.
+#[derive(Debug, Clone, Copy)]
+struct LayerCost {
+    /// Forward FLOPs at the batch size.
+    fwd_flops: f64,
+    /// Forward compute time.
+    fwd: SimDuration,
+    /// Backward compute time (2× forward FLOPs); training only.
+    bwd: SimDuration,
+    /// Backward compute time with the block interior recomputed (3×
+    /// forward FLOPs); training blocks only.
+    bwd_recompute: SimDuration,
+    /// Parameter-streaming time from host DRAM: forward, backward.
+    host_stream: [SimDuration; 2],
+    /// Parameter-streaming time from NVMe: forward, backward.
+    nvme_stream: [SimDuration; 2],
+    /// Full activation footprint.
+    activation: Bytes,
+    /// Boundary activation footprint.
+    boundary: Bytes,
+    /// Whether the layer is a checkpointing boundary.
+    is_block: bool,
+}
+
+/// The cost model of one (model, job kind, device): everything a profile
+/// needs except the technique. [`CostTable::set_batch`] fills the
+/// per-layer table for one batch size; [`CostTable::nodes_into`] then
+/// derives any technique's linearized graph from it without recomputing
+/// a compute or transfer time. [`build_profile`], [`exclusive_throughput`]
+/// and the planner all go through it, so the cost model exists once.
+#[derive(Debug)]
+pub(crate) struct CostTable<'a> {
+    model: &'a ModelGraph,
+    device: &'a DeviceSpec,
+    kind: JobKind,
+    /// Streaming source bandwidths (host DRAM over PCIe, the NVMe tier),
+    /// derated by the achievable pipeline efficiency.
+    host_bandwidth: f64,
+    nvme_bandwidth: f64,
+    total_params: u64,
+    /// Device-resident baseline of a parameter-resident configuration.
+    param_bytes: Bytes,
+    /// Device-resident window under parameter streaming.
+    streaming_resident: Bytes,
+    batch: usize,
+    layers: Vec<LayerCost>,
+}
+
+impl<'a> CostTable<'a> {
+    /// The batch-independent part of the cost model; call
+    /// [`set_batch`](Self::set_batch) before deriving nodes.
+    pub(crate) fn new(model: &'a ModelGraph, kind: JobKind, device: &'a DeviceSpec) -> Self {
+        // Device-resident baseline state. Under parameter streaming the
+        // window is a double buffer of the largest *dense* layer: embedding
+        // tables are gathered row-wise (only the rows a batch references
+        // move across PCIe), so they do not size the window.
+        let total_params = model.total_params();
+        let max_dense_layer = model
+            .layers
+            .iter()
+            .filter(|l| l.kind != LayerKind::Embedding)
+            .map(|l| l.param_bytes())
+            .max()
+            .unwrap_or_else(|| model.max_layer_param_bytes());
+        CostTable {
+            model,
+            device,
+            kind,
+            host_bandwidth: STREAM_EFFICIENCY * device.host_link_bandwidth,
+            nvme_bandwidth: STREAM_EFFICIENCY * device.nvme_bandwidth,
+            total_params,
+            param_bytes: Bytes::new(total_params * FP16_BYTES),
+            streaming_resident: max_dense_layer * 2,
+            batch: 0,
+            layers: Vec::with_capacity(model.layers.len()),
+        }
+    }
+
+    /// Fills the per-layer table for batch size `b`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b` is zero.
+    pub(crate) fn set_batch(&mut self, b: usize) {
+        assert!(b > 0, "batch size must be positive");
+        let eff = self.model.efficiency.at(b);
+        let training = self.kind == JobKind::Training;
+        let device = self.device;
+        let stream = |bytes: Bytes, bandwidth: f64| {
+            // Params stream down again for backward; gradients stream up.
+            [
+                SimDuration::from_secs_f64(bytes.as_f64() / bandwidth),
+                if training {
+                    SimDuration::from_secs_f64((bytes.as_f64() * 2.0) / bandwidth)
+                } else {
+                    SimDuration::ZERO
+                },
+            ]
+        };
+        self.batch = b;
+        self.layers.clear();
+        for layer in &self.model.layers {
+            // Bytes that must cross PCIe to execute a layer under
+            // parameter streaming: dense layers move their full weights;
+            // embeddings move only the referenced rows (bounded by the
+            // batch's token count).
+            let stream_bytes = if layer.kind == LayerKind::Embedding {
+                layer.param_bytes().min(layer.activation_bytes(b))
+            } else {
+                layer.param_bytes()
+            };
+            let fwd_flops = layer.fwd_flops(b);
+            let is_block = layer.kind.is_block();
+            let bwd = if training {
+                device.compute_time(2.0 * fwd_flops, eff)
+            } else {
+                SimDuration::ZERO
+            };
+            self.layers.push(LayerCost {
+                fwd_flops,
+                fwd: device.compute_time(fwd_flops, eff),
+                bwd,
+                bwd_recompute: if training && is_block {
+                    device.compute_time(3.0 * fwd_flops, eff)
+                } else {
+                    bwd
+                },
+                host_stream: stream(stream_bytes, self.host_bandwidth),
+                nvme_stream: stream(stream_bytes, self.nvme_bandwidth),
+                activation: layer.activation_bytes(b),
+                boundary: layer.boundary_bytes(b),
+                is_block,
+            });
+        }
+    }
+
+    /// Writes the linearized graph of `tech` at the current batch size
+    /// into `out` (cleared first).
+    pub(crate) fn nodes_into(&self, tech: ExecTechnique, out: &mut Vec<NodeProfile>) {
+        out.clear();
+        let kind = self.kind;
+        let total_params = self.total_params;
+        let resident = match (kind, tech) {
+            (JobKind::BatchInference, ExecTechnique::Plain) => self.param_bytes,
+            (JobKind::BatchInference, _) => self.streaming_resident,
+            (JobKind::Training, ExecTechnique::Plain | ExecTechnique::ActivationCheckpointing) => {
+                Bytes::new(
+                    total_params * (FP16_BYTES + GRAD_BYTES_PER_PARAM + ADAM_STATE_BYTES_PER_PARAM),
+                )
+            }
+            (JobKind::Training, ExecTechnique::OffloadOptimizer) => {
+                Bytes::new(total_params * (FP16_BYTES + GRAD_BYTES_PER_PARAM))
+            }
+            (JobKind::Training, _) => self.streaming_resident, // params/grads/opt on host
+        };
+        let ckpt = tech.checkpoints_activations();
+        let streams = tech.streams_params();
+        let nvme = tech.streams_from_nvme();
+        let pcie = if nvme {
+            self.nvme_bandwidth
+        } else {
+            self.host_bandwidth
+        };
+        let stream = |l: &LayerCost, pass: usize| match (streams, nvme) {
+            (false, _) => SimDuration::ZERO,
+            (true, false) => l.host_stream[pass],
+            (true, true) => l.nvme_stream[pass],
+        };
+
+        // Forward pass: activations (or boundaries) accumulate; inference
+        // releases them immediately.
+        let mut stored = Bytes::ZERO;
+        for l in &self.layers {
+            out.push(NodeProfile {
+                duration: l.fwd.max(stream(l, 0)),
+                memory: resident + stored + l.activation,
+                flops: l.fwd_flops,
+            });
+            if kind == JobKind::Training {
+                stored += if ckpt { l.boundary } else { l.activation };
+            }
+        }
+        if kind != JobKind::Training {
+            return;
+        }
+
+        // Backward pass in reverse layer order; stored activations are
+        // released as each layer is consumed. The working set is the
+        // layer's activations, recomputed or retained.
+        for l in self.layers.iter().rev() {
+            let recompute = ckpt && l.is_block;
+            let (compute, flops) = if recompute {
+                (l.bwd_recompute, 3.0 * l.fwd_flops)
+            } else {
+                (l.bwd, 2.0 * l.fwd_flops)
+            };
+            out.push(NodeProfile {
+                duration: compute.max(stream(l, 1)),
+                memory: resident + stored + l.activation,
+                flops,
+            });
+            stored = stored.saturating_sub(if ckpt { l.boundary } else { l.activation });
+        }
+
+        // Optimizer node.
+        let opt = match tech {
+            ExecTechnique::OffloadOptimizer => {
+                // Gradients stream down, updated fp16 params stream back.
+                let transfer = (total_params * (GRAD_BYTES_PER_PARAM + FP16_BYTES)) as f64 / pcie;
+                let cpu = (total_params * ADAM_STATE_BYTES_PER_PARAM) as f64 / CPU_UPDATE_BANDWIDTH;
+                SimDuration::from_secs_f64(transfer + cpu)
+            }
+            t if t.streams_params() => {
+                // Gradients already on host; CPU update only.
+                SimDuration::from_secs_f64(
+                    (total_params * ADAM_STATE_BYTES_PER_PARAM) as f64 / CPU_UPDATE_BANDWIDTH,
+                )
+            }
+            _ => {
+                // On-device Adam: memory-bound parameter-state sweep.
+                SimDuration::from_secs_f64(total_params as f64 * 32.0 / self.device.hbm_bandwidth)
+            }
+        };
+        out.push(NodeProfile {
+            duration: opt,
+            memory: resident,
+            flops: 0.0,
+        });
+    }
+
+    /// The profile of `tech` at the current batch size.
+    fn profile(&self, tech: ExecTechnique) -> JobProfile {
+        let mut nodes = Vec::new();
+        self.nodes_into(tech, &mut nodes);
+        JobProfile {
+            config: ExecConfig {
+                batch_size: self.batch,
+                technique: tech,
+            },
+            nodes,
+            samples_per_iteration: self.batch as u64,
+        }
+    }
+}
+
 /// Builds the profile of `model` under `config` for a `kind` job on
 /// `device`.
 ///
@@ -97,149 +343,9 @@ pub fn build_profile(
         "technique {} is not applicable to {kind}",
         config.technique
     );
-    let b = config.batch_size;
-    let eff = model.efficiency.at(b);
-    let tech = config.technique;
-    // Streaming source bandwidth: host DRAM over PCIe, or the NVMe tier,
-    // derated by the achievable pipeline efficiency.
-    let pcie = STREAM_EFFICIENCY
-        * if tech.streams_from_nvme() {
-            device.nvme_bandwidth
-        } else {
-            device.host_link_bandwidth
-        };
-
-    // Device-resident baseline state. Under parameter streaming the
-    // window is a double buffer of the largest *dense* layer: embedding
-    // tables are gathered row-wise (only the rows a batch references move
-    // across PCIe), so they do not size the window.
-    let total_params = model.total_params();
-    let param_bytes = Bytes::new(total_params * FP16_BYTES);
-    let max_dense_layer = model
-        .layers
-        .iter()
-        .filter(|l| l.kind != pipefill_model_zoo::LayerKind::Embedding)
-        .map(|l| l.param_bytes())
-        .max()
-        .unwrap_or_else(|| model.max_layer_param_bytes());
-    let streaming_resident = max_dense_layer * 2;
-    let resident = match (kind, tech) {
-        (JobKind::BatchInference, ExecTechnique::Plain) => param_bytes,
-        (JobKind::BatchInference, _) => streaming_resident,
-        (JobKind::Training, ExecTechnique::Plain | ExecTechnique::ActivationCheckpointing) => {
-            Bytes::new(
-                total_params * (FP16_BYTES + GRAD_BYTES_PER_PARAM + ADAM_STATE_BYTES_PER_PARAM),
-            )
-        }
-        (JobKind::Training, ExecTechnique::OffloadOptimizer) => {
-            Bytes::new(total_params * (FP16_BYTES + GRAD_BYTES_PER_PARAM))
-        }
-        (JobKind::Training, _) => streaming_resident, // params/grads/opt on host
-    };
-
-    let ckpt = tech.checkpoints_activations();
-    let streams = tech.streams_params();
-    let mut nodes = Vec::new();
-
-    // Bytes that must cross PCIe to execute a layer under parameter
-    // streaming: dense layers move their full weights; embeddings move
-    // only the referenced rows (bounded by the batch's token count).
-    let stream_bytes = |layer: &pipefill_model_zoo::Layer| -> Bytes {
-        if layer.kind == pipefill_model_zoo::LayerKind::Embedding {
-            layer.param_bytes().min(layer.activation_bytes(b))
-        } else {
-            layer.param_bytes()
-        }
-    };
-
-    // Forward pass: activations (or boundaries) accumulate.
-    let mut stored = Bytes::ZERO;
-    for layer in &model.layers {
-        let compute = device.compute_time(layer.fwd_flops(b), eff);
-        let stream = if streams {
-            SimDuration::from_secs_f64(stream_bytes(layer).as_f64() / pcie)
-        } else {
-            SimDuration::ZERO
-        };
-        let working = layer.activation_bytes(b);
-        nodes.push(NodeProfile {
-            duration: compute.max(stream),
-            memory: resident + stored + working,
-            flops: layer.fwd_flops(b),
-        });
-        stored += match kind {
-            JobKind::BatchInference => Bytes::ZERO, // activations released immediately
-            JobKind::Training => {
-                if ckpt {
-                    layer.boundary_bytes(b)
-                } else {
-                    layer.activation_bytes(b)
-                }
-            }
-        };
-    }
-
-    if kind == JobKind::Training {
-        // Backward pass in reverse layer order; stored activations are
-        // released as each layer is consumed.
-        for layer in model.layers.iter().rev() {
-            let recompute_factor = if ckpt && layer.kind.is_block() {
-                3.0
-            } else {
-                2.0
-            };
-            let flops = recompute_factor * layer.fwd_flops(b);
-            let compute = device.compute_time(flops, eff);
-            let stream = if streams {
-                // Params stream down again for backward; gradients stream up.
-                SimDuration::from_secs_f64((stream_bytes(layer).as_f64() * 2.0) / pcie)
-            } else {
-                SimDuration::ZERO
-            };
-            let working = layer.activation_bytes(b); // recomputed or retained
-            nodes.push(NodeProfile {
-                duration: compute.max(stream),
-                memory: resident + stored + working,
-                flops,
-            });
-            stored = stored.saturating_sub(if ckpt {
-                layer.boundary_bytes(b)
-            } else {
-                layer.activation_bytes(b)
-            });
-        }
-
-        // Optimizer node.
-        let opt = match tech {
-            ExecTechnique::OffloadOptimizer => {
-                // Gradients stream down, updated fp16 params stream back.
-                let transfer = (total_params * (GRAD_BYTES_PER_PARAM + FP16_BYTES)) as f64 / pcie;
-                let cpu = (total_params * ADAM_STATE_BYTES_PER_PARAM) as f64 / CPU_UPDATE_BANDWIDTH;
-                SimDuration::from_secs_f64(transfer + cpu)
-            }
-            t if t.streams_params() => {
-                // Gradients already on host; CPU update only.
-                SimDuration::from_secs_f64(
-                    (total_params * ADAM_STATE_BYTES_PER_PARAM) as f64 / CPU_UPDATE_BANDWIDTH,
-                )
-            }
-            _ => {
-                // On-device Adam: memory-bound parameter-state sweep.
-                SimDuration::from_secs_f64(total_params as f64 * 32.0 / device.hbm_bandwidth)
-            }
-        };
-        nodes.push(NodeProfile {
-            duration: opt,
-            memory: resident,
-            flops: 0.0,
-        });
-    }
-
-    JobProfile {
-        config,
-        nodes,
-        samples_per_iteration: b as u64,
-    }
+    let mut table = CostTable::new(model, kind, device);
+    table.set_batch(config.batch_size);
+    table.profile(config.technique)
 }
 
 /// The maximum throughput (samples/second) a job achieves "when executed
@@ -254,18 +360,12 @@ pub fn exclusive_throughput(
     device: &DeviceSpec,
     batch_sizes: &[usize],
 ) -> Option<(f64, JobProfile)> {
+    let mut table = CostTable::new(model, kind, device);
     let mut best: Option<(f64, JobProfile)> = None;
     for &batch in batch_sizes {
+        table.set_batch(batch);
         for &technique in ExecTechnique::applicable(kind) {
-            let profile = build_profile(
-                model,
-                kind,
-                ExecConfig {
-                    batch_size: batch,
-                    technique,
-                },
-                device,
-            );
+            let profile = table.profile(technique);
             if profile.peak_memory() > device.hbm {
                 continue;
             }

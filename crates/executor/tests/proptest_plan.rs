@@ -1,15 +1,18 @@
 //! Property tests for Algorithm 1: the plan must respect every bubble's
 //! duration and memory constraints for arbitrary graphs and cycles, pack
-//! all nodes in order, and drive the executor to completion.
+//! all nodes in order, and drive the executor to completion; and
+//! `plan_best` must return exactly what planning every configuration in
+//! full and keeping the first maximum would.
 
 use proptest::prelude::*;
 
-use pipefill_device::Bytes;
+use pipefill_device::{Bytes, DeviceSpec};
 use pipefill_executor::{
-    plan_for_config, ExecConfig, ExecTechnique, ExecutorConfig, FillJobExecutor, FillJobSpec,
-    JobProfile, NodeProfile, PlanError,
+    build_profile, plan_best, plan_for_config, ExecConfig, ExecTechnique, ExecutionPlan,
+    ExecutorConfig, FillJobExecutor, FillJobSpec, JobProfile, NodeProfile, PlanError,
 };
 use pipefill_model_zoo::{JobKind, ModelId};
+use pipefill_pipeline::{EngineConfig, MainJobSpec, ScheduleKind};
 use pipefill_sim_core::SimDuration;
 
 fn profile_from(nodes: Vec<(u64, u64)>) -> JobProfile {
@@ -30,6 +33,129 @@ fn profile_from(nodes: Vec<(u64, u64)>) -> JobProfile {
     }
 }
 
+/// The planner as specified, without any of `plan_best`'s shortcuts:
+/// profile and plan every configuration in full, in menu order (batch
+/// sizes as listed, then techniques), and keep the first maximum of
+/// (samples, FLOPs) per main-job iteration.
+fn reference_plan_best(
+    job: &FillJobSpec,
+    bubbles: &[(SimDuration, Bytes)],
+    device: &DeviceSpec,
+    exec: &ExecutorConfig,
+) -> Result<ExecutionPlan, PlanError> {
+    let key = |p: &ExecutionPlan| {
+        (
+            p.samples_per_main_iteration(),
+            p.flops_per_pass / p.main_iterations_per_pass as f64,
+        )
+    };
+    let model = job.model_graph();
+    let mut best: Option<ExecutionPlan> = None;
+    for &batch_size in &job.valid_batch_sizes {
+        for &technique in ExecTechnique::applicable(job.kind) {
+            let config = ExecConfig {
+                batch_size,
+                technique,
+            };
+            let profile = build_profile(&model, job.kind, config, device);
+            let Ok(plan) = plan_for_config(&profile, bubbles, exec) else {
+                continue;
+            };
+            if best.as_ref().is_none_or(|b| key(&plan) > key(b)) {
+                best = Some(plan);
+            }
+        }
+    }
+    best.ok_or(PlanError::NoFeasibleConfig)
+}
+
+/// The eight Table-1 fill jobs: sub-700M models train and infer, larger
+/// ones infer.
+fn table1_jobs() -> Vec<FillJobSpec> {
+    let mut jobs = Vec::new();
+    for model in ModelId::FILL_JOBS {
+        if model.trainable_as_fill_job() {
+            jobs.push(FillJobSpec::new(1, model, JobKind::Training, 1_000));
+        }
+        jobs.push(FillJobSpec::new(1, model, JobKind::BatchInference, 1_000));
+    }
+    assert_eq!(jobs.len(), 8);
+    jobs
+}
+
+fn devices() -> [DeviceSpec; 3] {
+    [
+        DeviceSpec::v100(),
+        DeviceSpec::a100_40g(),
+        DeviceSpec::h100(),
+    ]
+}
+
+/// `plan_best` equals the reference for every Table-1 job on the
+/// fillable windows of every stage of the uniform engine runs over five
+/// schedules × p ∈ {4, 8, 16, 32} × m ∈ {8, 16, 32, 64}.
+#[test]
+fn plan_best_matches_reference_on_every_engine_stage() {
+    let base = MainJobSpec::physical_5b(8, ScheduleKind::GPipe).engine_config();
+    let schedules = [
+        ScheduleKind::GPipe,
+        ScheduleKind::OneFOneB,
+        ScheduleKind::Interleaved { chunks: 2 },
+        ScheduleKind::Interleaved { chunks: 4 },
+        ScheduleKind::ZbH1,
+    ];
+    let mut geometries: Vec<Vec<(SimDuration, Bytes)>> = Vec::new();
+    for kind in schedules {
+        for p in [4usize, 8, 16, 32] {
+            for m in [8usize, 16, 32, 64] {
+                // Interleaving needs m to be a multiple of p.
+                if kind.chunk_count() > 1 && m % p != 0 {
+                    continue;
+                }
+                let split = base.num_stages() as f64 / p as f64;
+                let engine = EngineConfig::uniform(
+                    kind,
+                    p,
+                    m,
+                    base.stage_fwd[0].mul_f64(split),
+                    base.stage_bwd[0].mul_f64(split),
+                );
+                for stage in &engine.run().stages {
+                    let slots: Vec<_> = stage
+                        .fillable_windows()
+                        .iter()
+                        .map(|w| (w.duration, w.free_memory))
+                        .collect();
+                    if !slots.is_empty() && !geometries.contains(&slots) {
+                        geometries.push(slots);
+                    }
+                }
+            }
+        }
+    }
+    assert!(geometries.len() > 100, "{} geometries", geometries.len());
+    let device = DeviceSpec::v100();
+    let exec = ExecutorConfig::default();
+    let mut feasible = 0;
+    for slots in &geometries {
+        for job in &table1_jobs() {
+            let fast = plan_best(job, slots, &device, &exec);
+            assert_eq!(
+                fast,
+                reference_plan_best(job, slots, &device, &exec),
+                "{:?} {:?} on {slots:?}",
+                job.model,
+                job.kind
+            );
+            feasible += usize::from(fast.is_ok());
+        }
+    }
+    assert!(
+        feasible > 0,
+        "no stage fits any job: the test checks nothing"
+    );
+}
+
 fn exact_exec() -> ExecutorConfig {
     ExecutorConfig {
         fill_fraction: 1.0,
@@ -40,6 +166,40 @@ fn exact_exec() -> ExecutorConfig {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// `plan_best` returns exactly the reference's result (plan or
+    /// error) for random cycles, tunings, devices and batch menus. Custom
+    /// menus are unsorted, repeat values and are mostly not powers of
+    /// two, so the batch-size skip must key on the value, not the
+    /// position.
+    #[test]
+    fn plan_best_matches_reference(
+        bubbles in prop::collection::vec((1u64..3_000, 0.25f64..16.0), 1..41),
+        job_index in 0usize..8,
+        device_index in 0usize..3,
+        tuning in (0.05f64..1.0, 0.3f64..1.0, 0u64..30),
+        menu in prop::option::of(prop::collection::vec(1usize..64, 1..10)),
+    ) {
+        let slots: Vec<(SimDuration, Bytes)> = bubbles
+            .iter()
+            .map(|&(ms, gib)| (SimDuration::from_millis(ms), Bytes::from_gib_f64(gib)))
+            .collect();
+        let mut job = table1_jobs().swap_remove(job_index);
+        if let Some(menu) = menu {
+            job = job.with_batch_sizes(menu.iter().map(|&x| 9 * x - 8).collect());
+        }
+        let device = &devices()[device_index];
+        let (fill_fraction, cold_start_factor, switch_ms) = tuning;
+        let exec = ExecutorConfig {
+            fill_fraction,
+            cold_start_factor,
+            switch_overhead: SimDuration::from_millis(switch_ms),
+        };
+        prop_assert_eq!(
+            plan_best(&job, &slots, device, &exec),
+            reference_plan_best(&job, &slots, device, &exec)
+        );
+    }
 
     /// Every partition honours its bubble slot's duration and memory
     /// limits; all replicated nodes are packed exactly once, in order.
