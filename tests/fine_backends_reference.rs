@@ -1,9 +1,13 @@
 //! Byte pin of the physical and fault presets over the configurations the
 //! golden experiments do not reach: memory-jitter OOM injection,
-//! heterogeneous stage devices with and without faults, and the
-//! quiescent fast-forward regimes. Each entry is the `{:?}` of the run's
-//! `BackendMetrics` followed by its detailed result, so every float is
-//! compared at full round-trip precision.
+//! heterogeneous stage devices with and without faults, the quiescent
+//! fast-forward regimes, and multi-job fleets whose device failures
+//! resume evicted fill jobs across jobs through the global queue. Each
+//! physical or fault entry is the `{:?}` of the run's `BackendMetrics`
+//! followed by its detailed result, so every float is compared at full
+//! round-trip precision. A fleet entry is its `BackendMetrics`, its
+//! global-queue counters and an FNV-1a-64 hash of its full detailed
+//! result (which lists every completed fill-job id).
 //!
 //! To refresh the reference after an *intentional* model change:
 //!
@@ -15,12 +19,12 @@
 
 use std::fmt::Write as _;
 
-use pipefill::core::{BackendConfig, FaultSimConfig, PhysicalSimConfig};
+use pipefill::core::{BackendConfig, FaultSimConfig, FleetSimConfig, PhysicalSimConfig};
 use pipefill::device::DeviceSpec;
 use pipefill::models::ModelId;
 use pipefill::pipeline::{MainJobSpec, ScheduleKind};
 use pipefill::sim::SimDuration;
-use pipefill::trace::ModelMix;
+use pipefill::trace::{FleetWorkloadConfig, ModelMix};
 
 const SCHEDULES: [ScheduleKind; 4] = [
     ScheduleKind::GPipe,
@@ -51,6 +55,43 @@ fn entry(out: &mut String, label: &str, cfg: BackendConfig) {
         _ => unreachable!("only physical and fault runs are pinned"),
     };
     writeln!(out, "== {label}\n{:?}\n{detail}", run.metrics).expect("writing to a String");
+}
+
+/// Iterations of each pinned multi-job fleet.
+const FLEET_ITERS: usize = 100;
+
+/// Per-device MTBF of the pinned fleets: short enough that evicted fill
+/// jobs resume on other jobs within [`FLEET_ITERS`].
+const FLEET_MTBF: SimDuration = SimDuration::from_secs(600);
+
+/// FNV-1a, 64-bit.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Appends one fleet run: a label line, the shared metrics, the
+/// global-queue counters and the hash of the detail. Returns the run's
+/// cross-job dispatches.
+fn fleet_entry(out: &mut String, label: &str, cfg: FleetSimConfig) -> u64 {
+    let run = BackendConfig::Fleet(cfg).run();
+    let fleet = run.as_fleet().expect("a fleet run has fleet detail");
+    writeln!(
+        out,
+        "== {label}\n{:?}\nfailures={} evictions={} cross_job_dispatches={} \
+         peak_queue_depth={} left_in_queue={} completed_ids={} result_fnv1a64={:016x}",
+        run.metrics,
+        fleet.failures,
+        fleet.evictions,
+        fleet.cross_job_dispatches,
+        fleet.peak_queue_depth,
+        fleet.left_in_queue,
+        fleet.completed_fill_ids.len(),
+        fnv1a64(format!("{fleet:?}").as_bytes()),
+    )
+    .expect("writing to a String");
+    fleet.cross_job_dispatches
 }
 
 /// Per-stage devices: one half-speed stage, or the first half on A100s.
@@ -166,6 +207,20 @@ fn generate() -> String {
         let label = format!("fault unit a100-half quiescent ff={fast_forward}");
         entry(&mut out, &label, BackendConfig::Fault(hetero));
     }
+    // Production-shape fleets under churn: the only entries whose
+    // evictions resume on a different main job.
+    let mut cross_job = 0;
+    for schedule in [ScheduleKind::OneFOneB, ScheduleKind::GPipe] {
+        for seed in [1u64, 2, 3] {
+            let mut workload = FleetWorkloadConfig::production_8k(seed);
+            workload.iterations = FLEET_ITERS;
+            let cfg =
+                FleetSimConfig::from_workload_scheduled(&workload, schedule).with_mtbf(FLEET_MTBF);
+            let label = format!("fleet production_8k {schedule} mtbf={FLEET_MTBF:?} seed={seed}");
+            cross_job += fleet_entry(&mut out, &label, cfg);
+        }
+    }
+    assert!(cross_job > 0, "no pinned fleet dispatched across jobs");
     out
 }
 
