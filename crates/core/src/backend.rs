@@ -90,17 +90,32 @@ pub enum ClusterEvent {
         /// Device whose job finished.
         device: usize,
     },
-    /// Execute the bubbles of one pipeline stage for the current main-job
-    /// iteration (fine-grained backends only).
+    /// Execute the current main-job iteration's bubbles on every stage of
+    /// job `job`, in stage order (fine-grained backends only). Every stage
+    /// of a pipeline reaches its bubbles within the same iteration and
+    /// fills them independently (the paper's bubble synchronization,
+    /// §4.3), so one dispatch runs them all and then schedules the job's
+    /// [`ClusterEvent::JobIterationEnd`]. The kernel is credited the
+    /// `p − 1` further stage events, so `events_dispatched` still counts
+    /// one event per stage.
+    ///
+    /// This replays exactly the order of `p` separate per-stage events at
+    /// the same instant `t`. Those were pushed by one handler call, so
+    /// their sequence numbers were consecutive, and the queue pops by
+    /// (time, sequence): every other event at `t` popped entirely before
+    /// or entirely after the block. None of the block's handlers pushed an
+    /// event at `t` except the trailing `JobIterationEnd`, which came last
+    /// anyway. Running the block inside one dispatch therefore performs
+    /// the same operations in the same order.
     StageBubbles {
-        /// Pipeline stage index.
-        stage: usize,
+        /// Fleet main-job index.
+        job: usize,
     },
     /// A single-pipeline iteration boundary. No backend schedules it any
     /// more — the fine-grained engine uses [`ClusterEvent::JobIterationEnd`]
     /// for every pipeline — but external handlers still match on it.
     IterationEnd,
-    /// Iteration boundary of one main job of a fleet (`stage` fields of
+    /// Iteration boundary of one main job of a fleet (`device` fields of
     /// fleet events are *flat* indices over all pipelines; this carries
     /// the job whose pipeline wrapped). Fleet backends only.
     JobIterationEnd {
@@ -194,11 +209,12 @@ pub trait SimBackend: EventHandler<Event = ClusterEvent> {
         None
     }
 
-    /// Executes one bubble window of `stage` outside the event flow.
-    /// Fine-grained backends do the per-bubble work (context switch, fill
-    /// partition, jitter) a `StageBubbles` event does for each of its
-    /// windows; backends whose unit of progress is coarser than a bubble
-    /// keep the default no-op.
+    /// Executes one bubble window of `stage` outside the event flow;
+    /// `stage` is a device index (for a fleet, a *flat* index over all
+    /// pipelines). Fine-grained backends do the per-bubble work (context
+    /// switch, fill partition, jitter) a `StageBubbles` event does for
+    /// each window of each of its job's stages; backends whose unit of
+    /// progress is coarser than a bubble keep the default no-op.
     fn on_bubble(
         &mut self,
         now: SimTime,

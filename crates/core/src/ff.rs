@@ -246,16 +246,24 @@ impl SteadyDetector {
         remaining: u64,
     ) -> Option<Skip> {
         debug_assert!(self.active, "end_iteration without a true observe()");
+        // Evict first, so the next iteration's buffers can reuse the
+        // freed memory; size them like the iteration just closed, which
+        // in steady state is exactly what the next one records.
+        if self.hist.len() == self.cap {
+            self.hist.pop_front();
+        }
+        let flops_len = self.cur_flops.len();
+        let completed_len = self.cur_completed.len();
         let rec = IterRecord {
-            flops: std::mem::take(&mut self.cur_flops),
-            completed: std::mem::take(&mut self.cur_completed),
+            flops: std::mem::replace(&mut self.cur_flops, Vec::with_capacity(flops_len)),
+            completed: std::mem::replace(
+                &mut self.cur_completed,
+                Vec::with_capacity(completed_len),
+            ),
             delay,
             counters: self.pending.delta(self.snap),
         };
         self.snap = self.pending;
-        if self.hist.len() == self.cap {
-            self.hist.pop_front();
-        }
         let hash = hash_sig(&sig);
         self.hist.push_back(HistEntry { hash, sig, rec });
 

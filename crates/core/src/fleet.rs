@@ -13,8 +13,9 @@
 //! [`FleetSimConfig::from_physical`] and [`FleetSimConfig::from_fault`].
 //!
 //! * **Per-bubble fill execution.** Each iteration of a main job unfolds
-//!   as one `StageBubbles` event per stage on a *flat* device index
-//!   space. Every fillable window runs the stage's fill partition with
+//!   as one `StageBubbles` event that runs every stage's bubbles in stage
+//!   order (devices sit on a *flat* index space over all pipelines).
+//!   Every fillable window runs the stage's fill partition with
 //!   multiplicative timing jitter, an explicit context-switch cost and a
 //!   usable-span floor; whatever overruns the usable span stalls the
 //!   stage. A [`ClusterEvent::JobIterationEnd`] folds the stalls into the
@@ -1013,12 +1014,12 @@ impl FleetBackend {
         // Locality: the plan is bound to this bubble geometry, so the
         // job is feasible exactly on stage `s` of every job in the same
         // shape class. Admission masking happens inside the queue.
-        let proc_times: Vec<Option<SimDuration>> = (0..self.flat_owner.len())
-            .map(|d| {
-                let (oj, os) = self.locate(d);
-                (self.class_of[oj] == class && os == s).then_some(remaining)
-            })
-            .collect();
+        let mut proc_times: Vec<Option<SimDuration>> = vec![None; self.flat_owner.len()];
+        for (&c, &base) in self.class_of.iter().zip(&self.base) {
+            if c == class {
+                proc_times[base + s] = Some(remaining);
+            }
+        }
         let info = JobInfo::new(lease.exec.job().id, lease.exec.job().arrival, proc_times);
         self.queue.requeue_from(j, info);
         self.parked.insert(lease.exec.job().id, lease);
@@ -1075,21 +1076,24 @@ impl EventHandler for FleetBackend {
 
     fn handle(&mut self, now: SimTime, event: ClusterEvent, queue: &mut EventQueue<ClusterEvent>) {
         match event {
-            ClusterEvent::StageBubbles { stage } => {
-                let (j, s) = self.locate(stage);
-                let stall = self.run_bubbles(now, j, s, None);
-                self.jobs_state[j].stage_delays.push(stall);
-                // This job's last stage ran: its stall aggregate is
-                // known, and its iteration boundary lands at its own
-                // *stretched* period, so the kernel clock carries the
-                // emergent slowdown.
-                if s + 1 == self.stages_of(j) {
-                    let delay = critical_path_delay(&self.jobs_state[j].stage_delays);
-                    queue.push(
-                        now + self.geometry[self.class_of[j]].period + delay,
-                        ClusterEvent::JobIterationEnd { job: j },
-                    );
+            ClusterEvent::StageBubbles { job: j } => {
+                // Every stage in order, exactly as p per-stage events at
+                // this instant would run (see `ClusterEvent::StageBubbles`);
+                // the kernel still counts one event per stage.
+                let p = self.stages_of(j);
+                for s in 0..p {
+                    let stall = self.run_bubbles(now, j, s, None);
+                    self.jobs_state[j].stage_delays.push(stall);
                 }
+                queue.credit(p as u64 - 1);
+                // The stall aggregate is known, and the iteration boundary
+                // lands at the job's own *stretched* period, so the kernel
+                // clock carries the emergent slowdown.
+                let delay = critical_path_delay(&self.jobs_state[j].stage_delays);
+                queue.push(
+                    now + self.geometry[self.class_of[j]].period + delay,
+                    ClusterEvent::JobIterationEnd { job: j },
+                );
             }
             ClusterEvent::JobIterationEnd { job: j } => {
                 let delay = critical_path_delay(&self.jobs_state[j].stage_delays);
@@ -1120,20 +1124,13 @@ impl EventHandler for FleetBackend {
                     let sig = js.steady_sig();
                     if let Some(skip) = js.detector.end_iteration(sig, delay, remaining) {
                         js.replay(&skip, &mut self.completed_ids);
-                        // Each skipped iteration would have fired one
-                        // StageBubbles per stage plus its JobIterationEnd.
+                        // Each skipped iteration would have counted one
+                        // event per stage plus its JobIterationEnd.
                         queue.credit(skip.iterations() * (p as u64 + 1));
                         next_at = now + (period * skip.len + skip.delay_sum) * skip.cycles;
                     }
                 }
-                for s in 0..p {
-                    queue.push(
-                        next_at,
-                        ClusterEvent::StageBubbles {
-                            stage: self.base[j] + s,
-                        },
-                    );
-                }
+                queue.push(next_at, ClusterEvent::StageBubbles { job: j });
             }
             ClusterEvent::DeviceFailure { device } => {
                 let (j, s) = self.locate(device);
@@ -1189,16 +1186,8 @@ impl SimBackend for FleetBackend {
         // A fill fraction of exactly 0.0 is the no-filling baseline: no
         // bubble events exist for that job, it runs the nominal pipeline.
         for j in 0..self.cfg.jobs.len() {
-            if !self.job_filling(j) {
-                continue;
-            }
-            for s in 0..self.stages_of(j) {
-                sim.schedule(
-                    SimTime::ZERO,
-                    ClusterEvent::StageBubbles {
-                        stage: self.base[j] + s,
-                    },
-                );
+            if self.job_filling(j) && self.stages_of(j) > 0 {
+                sim.schedule(SimTime::ZERO, ClusterEvent::StageBubbles { job: j });
             }
         }
         if self.cfg.mtbf != SimDuration::MAX {
@@ -1224,8 +1213,9 @@ impl SimBackend for FleetBackend {
     ) {
         let (j, s) = self.locate(stage);
         let stall = self.run_bubbles(now, j, s, Some(slot));
-        // A direct call joins the stall of the stage in flight, opening
-        // one if no `StageBubbles` event has.
+        // A direct call joins the last stall recorded this iteration (the
+        // last stage's, once the job's `StageBubbles` has run), opening
+        // one if none has.
         match self.jobs_state[j].stage_delays.last_mut() {
             Some(delay) => *delay += stall,
             None => self.jobs_state[j].stage_delays.push(stall),
@@ -1548,6 +1538,7 @@ impl MixRotation {
 mod tests {
     use super::*;
     use crate::backend::{BackendConfig, BackendDriver};
+    use pipefill_sim_core::StepOutcome;
 
     fn run(cfg: FleetSimConfig) -> FleetSimResult {
         BackendConfig::Fleet(cfg)
@@ -1645,6 +1636,33 @@ mod tests {
         let a = run(cfg.clone());
         let b = run(cfg);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn one_dispatch_per_pipeline_iteration_counts_every_stage() {
+        // Faults off and jitter on, so fast-forward never fires: each
+        // iteration of each job is one StageBubbles and one
+        // JobIterationEnd dispatch, while the dispatched-event count
+        // still has one event per stage plus the boundary.
+        let mut cfg = twin_fleet(11);
+        cfg.jobs[1].iterations = 70;
+        let mut driver = BackendDriver::new(FleetBackend::new(cfg));
+        let mut handler_calls = 0u64;
+        while driver.step() == StepOutcome::Dispatched {
+            handler_calls += 1;
+        }
+        let (metrics, backend) = driver.run();
+        let result = backend.into_result();
+        assert_eq!(result.iterations_fast_forwarded, 0);
+        let iterations: u64 = result.jobs.iter().map(|r| r.iterations as u64).sum();
+        let stage_events: u64 = result
+            .jobs
+            .iter()
+            .map(|r| r.iterations as u64 * (r.stages as u64 + 1))
+            .sum();
+        assert!(result.jobs.iter().all(|r| r.stages > 1));
+        assert_eq!(handler_calls, 2 * iterations);
+        assert_eq!(metrics.events_dispatched, stage_events);
     }
 
     #[test]
